@@ -86,6 +86,14 @@ def uct_value(mean: float, visits: int, parent_visits: int, cp: float) -> float:
     return mean + cp * math.sqrt(2.0 * math.log(parent_visits) / visits)
 
 
+def uct_key(parent_visits: int, cp: float):
+    """Child -> uct_value of its mean, with the parent term computed once.
+    The float operations and their order match uct_value exactly, so
+    selections and ties are the same."""
+    spread = 2.0 * math.log(parent_visits)
+    return lambda c: c.reward_sum / c.visits + cp * math.sqrt(spread / c.visits)
+
+
 def cp_schedule(iteration: int, config: SearchConfig) -> float:
     if config.cp_amplitude == 0:
         return config.cp_base
@@ -129,11 +137,10 @@ def simulate(start, problem: MctsProblem, max_depth: int, rng: random.Random):
 
 
 class MctsNode:
-    __slots__ = ("state", "parent", "children", "unexplored", "visits", "reward_sum", "deleted_visits")
+    __slots__ = ("state", "children", "unexplored", "visits", "reward_sum", "deleted_visits")
 
-    def __init__(self, state, parent=None):
+    def __init__(self, state):
         self.state = state
-        self.parent = parent
         self.children: list = []
         self.unexplored: list = []
         self.visits = 0
@@ -179,17 +186,16 @@ def mcts_step(tree: MctsTree, config: SearchConfig, rng: random.Random, iteratio
     stats = tree.stats
     cp = cp_schedule(iteration, config)
 
+    # root-to-leaf path of the selection; nodes keep no parent pointers, so
+    # finished trees hold no reference cycles and are freed by refcounting
     node = tree.root
-    depth = 0
+    path = [node]
     while not node.unexplored:
-        if not node.children:
+        children = node.children
+        if not children:
             return None  # dead root; run() reports exhaustion
-        parent_visits = node.visits
-        node = max(
-            node.children,
-            key=lambda c: uct_value(c.reward_sum / c.visits, c.visits, parent_visits, cp),
-        )
-        depth += 1
+        node = children[0] if len(children) == 1 else max(children, key=uct_key(node.visits, cp))
+        path.append(node)
 
     if len(node.unexplored) == 1:
         idx = 0
@@ -210,40 +216,33 @@ def mcts_step(tree: MctsTree, config: SearchConfig, rng: random.Random, iteratio
         child_state = chain[pick]
     else:
         child_state = chain[0]
-    child = MctsNode(child_state, parent=node)
+    child = MctsNode(child_state)
     if not problem.is_success(child_state):
         child.unexplored = list(problem.successors(child_state))
     node.children.append(child)
+    path.append(child)
     stats.nodes_created += 1
-    if depth + 1 > stats.max_tree_depth:
-        stats.max_tree_depth = depth + 1
+    if len(path) - 1 > stats.max_tree_depth:
+        stats.max_tree_depth = len(path) - 1
 
-    walk = child
-    while walk is not None:
+    for walk in path:
         walk.visits += 1
         walk.reward_sum += reward
-        walk = walk.parent
 
     if reward > stats.best_reward:
         stats.best_reward = reward
         stats.best_state = final
 
-    dead = child
-    while dead.parent is not None and not dead.unexplored and not dead.children:
-        parent = dead.parent
+    i = len(path) - 1
+    while i > 0 and not path[i].unexplored and not path[i].children:
+        dead, parent = path[i], path[i - 1]
         parent.children.remove(dead)
         parent.deleted_visits += dead.visits
         stats.deletions += 1
-        dead = parent
+        i -= 1
 
     if success:
-        prefix = []
-        walk = node
-        while walk.parent is not None:
-            prefix.append(walk.state)
-            walk = walk.parent
-        prefix.reverse()
-        return prefix + chain
+        return [walk.state for walk in path[1:-1]] + chain
     return None
 
 

@@ -1,8 +1,9 @@
-"""Persistent substitutions and first-order unification with occurs check.
+"""Immutable substitutions and first-order unification with occurs check.
 
-A Substitution is a chain of immutable binding nodes. Extending returns a new
-node that shares the whole parent chain, so sibling search branches share
-their common binding prefix and no lookup ever mutates shared state.
+A Substitution is a flat map from variable ids to terms that is never
+mutated: extending copies the map and adds the new bindings, so sibling
+search branches each hold their own map, a lookup is one dict probe, and
+memory per state stays linear in the number of bindings.
 """
 
 from __future__ import annotations
@@ -10,66 +11,28 @@ from __future__ import annotations
 from .terms import App, Literal, Term, Var
 
 
-# Chains longer than this are flattened into one node on extension; a variable
-# is never rebound, so flattening is a plain union that preserves lookups.
-_FLATTEN_EVERY = 16
-
-
 class Substitution:
-    __slots__ = ("_bindings", "_parent", "_domain", "generation", "_chain")
+    __slots__ = ("_bindings", "lookup")
 
-    def __init__(self, bindings: dict | None = None, parent: "Substitution | None" = None):
-        self._bindings = bindings or {}
-        if parent is not None and parent._chain >= _FLATTEN_EVERY:
-            merged = dict(self._bindings)
-            node = parent
-            while node is not None:
-                for var_id, term in node._bindings.items():
-                    merged.setdefault(var_id, term)
-                node = node._parent
-            self._bindings = merged
-            parent = None
-            self._chain = 0
-        else:
-            self._chain = 0 if parent is None else parent._chain + 1
-        self._parent = parent
-        if parent is None:
-            self._domain = frozenset(self._bindings)
-        else:
-            self._domain = parent._domain | self._bindings.keys()
-        # generation counter: total number of bindings accumulated
-        self.generation = len(self._bindings) + (0 if parent is None else parent.generation)
+    def __init__(self, bindings: dict | None = None):
+        self._bindings = {} if bindings is None else bindings
+        # var id -> bound term, or None when unbound
+        self.lookup = self._bindings.get
 
     def __len__(self) -> int:
-        return self.generation
-
-    def lookup(self, var_id: int):
-        if var_id not in self._domain:
-            return None
-        node = self
-        while node is not None:
-            term = node._bindings.get(var_id)
-            if term is not None:
-                return term
-            node = node._parent
-        return None
+        return len(self._bindings)
 
     def extended(self, bindings: dict) -> "Substitution":
-        return Substitution(dict(bindings), self)
+        merged = self._bindings.copy()
+        merged.update(bindings)
+        return Substitution(merged)
 
     def factors_through(self, other: "Substitution") -> bool:
         """True iff every binding of `other` is present here unchanged."""
         return all(self.lookup(var_id) is term for var_id, term in other.items())
 
     def items(self):
-        seen = set()
-        node = self
-        while node is not None:
-            for var_id, term in node._bindings.items():
-                if var_id not in seen:
-                    seen.add(var_id)
-                    yield var_id, term
-            node = node._parent
+        return self._bindings.items()
 
     def deref(self, t: Term) -> Term:
         while isinstance(t, Var):
@@ -103,12 +66,13 @@ def unify_args(sigma: Substitution, xs: tuple, ys: tuple) -> Substitution | None
     if len(xs) != len(ys):
         return None
     new: dict = {}
+    lookup = sigma.lookup
 
     def walk(t):
         while isinstance(t, Var):
             bound = new.get(t.id)
             if bound is None:
-                bound = sigma.lookup(t.id)
+                bound = lookup(t.id)
             if bound is None:
                 return t
             t = bound

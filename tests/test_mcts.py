@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -6,6 +7,7 @@ import pytest
 from mcprover.mcts import (
     BudgetSpent,
     Exhausted,
+    MctsNode,
     MctsProblem,
     MctsTree,
     SearchConfig,
@@ -15,6 +17,7 @@ from mcprover.mcts import (
     mcts_step,
     run,
     simulate,
+    uct_key,
     uct_value,
 )
 
@@ -122,6 +125,18 @@ def test_uct_value_hand_computed():
 
 def test_uct_less_visited_sibling_wins():
     assert uct_value(0.4, 1, 5, 1.0) > uct_value(0.4, 4, 5, 1.0)
+
+
+def test_uct_key_matches_uct_value_bit_for_bit():
+    rng = random.Random(20261018)
+    for _ in range(10000):
+        child = MctsNode(None)
+        child.visits = rng.randint(1, 10 ** rng.randint(1, 6))
+        child.reward_sum = rng.random() * child.visits
+        parent_visits = child.visits + rng.randint(0, 10 ** rng.randint(1, 6))
+        cp = rng.uniform(1e-3, 3.0)
+        expected = uct_value(child.reward_sum / child.visits, child.visits, parent_visits, cp)
+        assert uct_key(parent_visits, cp)(child).hex() == expected.hex()
 
 
 def test_cp_schedule_disabled_and_enabled():
@@ -369,3 +384,33 @@ def test_reward_goal_short_circuits():
     assert isinstance(result.outcome, Solution)
     assert result.outcome.by_reward_goal
     assert result.stats.iterations == 1
+
+
+# --- memory ---------------------------------------------------------------------
+
+def test_finished_search_leaves_no_reference_cycles():
+    from mcprover.cli import EngineSetup, bundled_corpus_dir, run_engine
+    from mcprover.clausify import clausify, prepare_matrix
+    from mcprover.tptp import load_problem
+
+    path = f"{bundled_corpus_dir()}/hard_maze14.p"
+    matrix = prepare_matrix(clausify(load_problem(path)))
+    bf = EngineSetup(engine="mcts", sim_depth=1, ratio_weight=0.0, max_inferences=3000)
+    gc.collect()
+    gc.disable()
+    try:
+        report = run_engine(matrix, bf, "hard_maze14")
+    finally:
+        gc.enable()
+    assert report.total_inferences >= 3000
+    assert gc.collect() == 0
+
+
+def test_deep_node_chain_deallocates():
+    root = node = MctsNode(0)
+    for i in range(500_000):
+        child = MctsNode(i + 1)
+        node.children.append(child)
+        node = child
+    del node, child
+    del root

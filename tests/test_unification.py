@@ -7,6 +7,7 @@ from mcprover.unification import (
     EMPTY_SUBSTITUTION,
     Substitution,
     literals_equal_under,
+    resolve_literal,
     resolve_term,
     terms_equal_under,
     unify,
@@ -112,7 +113,7 @@ def test_factors_through_chain():
     assert not s1.factors_through(s2)
 
 
-def test_flattening_preserves_lookups():
+def test_long_extension_chain_preserves_lookups():
     sigma = EMPTY_SUBSTITUTION
     for i in range(100):
         sigma = sigma.extended({i: App(f"k{i}")})
@@ -126,6 +127,46 @@ def test_equal_under_handles_var_chains():
     assert terms_equal_under(sigma, Var(0), App("a"))
     assert literals_equal_under(sigma, Literal(True, "p", (Var(0),)), Literal(True, "p", (Var(1),)))
     assert not literals_equal_under(sigma, Literal(True, "p", (Var(0),)), Literal(False, "p", (Var(0),)))
+
+
+def random_substitution(rng, n_vars=6):
+    """Bindings added in a few `extended` steps; a variable is bound only to
+    terms over variables later in a random order, so there are no cycles."""
+    order = list(range(n_vars))
+    rng.shuffle(order)
+    sigma = EMPTY_SUBSTITUTION
+    batch = {}
+    for k, var_id in enumerate(order):
+        if rng.random() < 0.6:
+            later = order[k + 1:]
+            term = random_term(rng, depth=2, n_vars=n_vars)
+            batch[var_id] = rename_free(term, later, rng)
+        if batch and rng.random() < 0.5:
+            sigma = sigma.extended(batch)
+            batch = {}
+    return sigma.extended(batch) if batch else sigma
+
+
+def rename_free(t, allowed, rng):
+    if isinstance(t, Var):
+        return Var(rng.choice(allowed)) if allowed else App("c0")
+    return App(t.functor, tuple(rename_free(a, allowed, rng) for a in t.args))
+
+
+def test_equal_under_agrees_with_resolution_1000():
+    rng = random.Random(20261018)
+    outcomes = set()
+    for _ in range(1000):
+        sigma = random_substitution(rng)
+        arity = rng.randint(0, 2)
+        a, b = (
+            Literal(True, "p", tuple(random_term(rng, depth=2, n_vars=6) for _ in range(arity)))
+            for _ in range(2)
+        )
+        expected = resolve_literal(sigma, a) == resolve_literal(sigma, b)
+        assert literals_equal_under(sigma, a, b) == expected, (sigma, a, b)
+        outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 # --- randomized agreement with the reference unifier -------------------------
