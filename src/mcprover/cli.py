@@ -185,9 +185,12 @@ def run_engine(matrix: Matrix, setup: EngineSetup, problem_name: str,
             report.outcome = "saturated"
             report.detail = outcome.reason or f"exhausted at depth {outcome.depth}"
         else:
-            report.outcome = "timeout"
-            report.total_inferences = None  # volatile under wall-clock budgets
             report.detail = outcome.reason
+            if outcome.reason == "inferences":
+                report.outcome = "budget"
+            else:
+                report.outcome = "timeout"
+                report.total_inferences = None  # volatile under wall-clock budgets
         return report
 
     game = setup.game(matrix, model)
@@ -219,9 +222,11 @@ def run_engine(matrix: Matrix, setup: EngineSetup, problem_name: str,
     elif isinstance(result.outcome, mcts.Exhausted):
         report.outcome = "exhausted"
     else:
-        report.outcome = "timeout" if result.outcome.reason == "time" else "budget"
-        report.detail = result.outcome.reason
-        if result.outcome.reason == "time":
+        reason = result.outcome.reason
+        report.outcome = "timeout" if reason == "time" else "budget"
+        # the only stop condition run_engine installs is the inference cap
+        report.detail = "inferences" if reason == "stopped" else reason
+        if reason == "time":
             report.iterations = None
             report.total_inferences = None
     return report
@@ -254,9 +259,12 @@ def _load_matrix(path: str, args) -> Matrix:
 
 
 def _setup_from_args(args) -> EngineSetup:
+    timeout = args.timeout  # train and bench default to 5 s without any budget flag
+    if timeout is None and args.max_inferences is None:
+        timeout = args.default_timeout
     return EngineSetup(
         engine=args.engine,
-        timeout=args.timeout,
+        timeout=timeout,
         max_inferences=args.max_inferences,
         depth_start=args.depth_start,
         depth_increment=args.depth_increment,
@@ -500,14 +508,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem")
     _add_engine_flags(p)
     p.add_argument("--proof-out", default=None)
-    p.set_defaults(func=cmd_prove)
+    p.set_defaults(func=cmd_prove, default_timeout=None)
 
     p = sub.add_parser("train", help="collect literal statistics from solved problems")
     p.add_argument("corpus", nargs="?", default=bundled_corpus_dir())
     _add_engine_flags(p)
     p.add_argument("--model-out", required=True)
     p.add_argument("--verbose", action="store_true")
-    p.set_defaults(func=cmd_train, timeout=5.0)
+    p.set_defaults(func=cmd_train, default_timeout=5.0)
 
     p = sub.add_parser("bench", help="run configuration sweeps over a corpus")
     p.add_argument("corpus", nargs="?", default=bundled_corpus_dir())
@@ -515,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", action="append", default=None,
                    help="NAME=key:value,... (keys mirror the engine flags)")
     p.add_argument("--machine-out", default=None)
-    p.set_defaults(func=cmd_bench, timeout=5.0)
+    p.set_defaults(func=cmd_bench, default_timeout=5.0)
 
     p = sub.add_parser("tsp", help="validate the search engine on travelling salesman")
     p.add_argument("--instance", default=None)

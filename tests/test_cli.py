@@ -3,7 +3,7 @@ import os
 import pytest
 
 from mcprover.checker import check_proof, parse_certificate
-from mcprover.cli import bundled_corpus_dir, load_corpus, main
+from mcprover.cli import _setup_from_args, build_parser, bundled_corpus_dir, load_corpus, main
 from mcprover.clausify import clausify, prepare_matrix
 from mcprover.tptp import load_problem
 from mcprover.trainstore import Store
@@ -64,6 +64,29 @@ def test_prove_mcts_reports_are_deterministic(capsys):
     assert code_a == code_b == 0
     assert out_a == out_b
     assert "iterations" in out_a
+
+
+@pytest.mark.parametrize("engine", ["deepening", "mcts"])
+def test_inference_budget_is_reported_as_budget(capsys, engine):
+    code, out, _ = run_cli(
+        capsys, "prove", corpus_file("sat_chain.p"), "--engine", engine, "--max-inferences", "1000"
+    )
+    assert code == 1
+    assert "outcome    : budget" in out
+    assert "detail     : inferences" in out
+    inferences = [line for line in out.splitlines() if line.startswith("inferences : ")]
+    assert len(inferences) == 1 and int(inferences[0].split(":")[1]) >= 1000
+
+
+def test_default_timeout_only_without_budget_flags(tmp_path):
+    model = ["--model-out", str(tmp_path / "model.txt")]
+    for argv in (["bench"], ["train", *model]):
+        parse = lambda *extra: _setup_from_args(build_parser().parse_args(argv + list(extra)))  # noqa: E731
+        assert parse().timeout == 5.0
+        assert parse("--max-inferences", "100").timeout is None
+        assert parse("--timeout", "2", "--max-inferences", "100").timeout == 2.0
+        assert parse("--timeout", "0").timeout == 0.0
+    assert _setup_from_args(build_parser().parse_args(["prove", "x.p"])).timeout is None
 
 
 def test_train_writes_model_and_summary(capsys, tmp_path):
