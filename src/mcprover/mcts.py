@@ -222,8 +222,7 @@ def mcts_step(tree: MctsTree, config: SearchConfig, rng: random.Random, iteratio
     node.children.append(child)
     path.append(child)
     stats.nodes_created += 1
-    if len(path) - 1 > stats.max_tree_depth:
-        stats.max_tree_depth = len(path) - 1
+    stats.max_tree_depth = max(stats.max_tree_depth, len(path) - 1)
 
     for walk in path:
         walk.visits += 1

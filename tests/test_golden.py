@@ -68,7 +68,6 @@ def compute_digests(workdir) -> dict:
             shutil.copy(info.path, corpus)
     argv = ["train", corpus, *TRAIN_ARGS, "--model-out", out_path]
     digests["train corpus"] = _run(argv, out_path)
-    shutil.rmtree(corpus)
     return digests
 
 
