@@ -1,11 +1,13 @@
-"""Golden digests of `mcprover prove` and `mcprover train` over the corpus.
+"""Golden digests of `mcprover prove` and `mcprover train` over the corpus,
+and of the `prove`, `train` and `bench` help texts.
 
 Every search decision is deterministic for a fixed seed under an inference
 budget, so the stdout report and the certificate of each run are fixed.
 `golden_digests.txt` holds one sha256 per (configuration, problem) pair; a
 change that alters any search decision, count or certificate shows up here.
 The wall time goes to stderr and is not digested; the output paths printed
-on stdout are replaced by a placeholder.
+on stdout are replaced by a placeholder. Help texts are rendered 80 columns
+wide, so they do not depend on the terminal.
 
 Regenerate the file (only when an output change is intended) with
 
@@ -35,13 +37,17 @@ TRAIN_ARGS = ["--max-inferences", "150000", "--timeout", "0"]
 # minutes on its 150000 training inferences; it is never solved, so leaving it
 # out changes no model entry
 SKIPPED = {"sat_chain"}
+HELP_COMMANDS = ("prove", "train", "bench")
 
 
 def _run(argv, out_path):
     """Exit code, stdout and the file written to `out_path`, as one digest."""
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as done:  # --help exits through argparse
+            code = done.code
     digest = hashlib.sha256()
     digest.update(f"exit {code}\n".encode())
     digest.update(stdout.getvalue().replace(out_path, "<out>").encode())
@@ -68,6 +74,16 @@ def compute_digests(workdir) -> dict:
             shutil.copy(info.path, corpus)
     argv = ["train", corpus, *TRAIN_ARGS, "--model-out", out_path]
     digests["train corpus"] = _run(argv, out_path)
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    try:
+        for command in HELP_COMMANDS:
+            digests[f"help {command}"] = _run([command, "--help"], out_path)
+    finally:
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
     return digests
 
 
