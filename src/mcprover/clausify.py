@@ -25,6 +25,7 @@ from .terms import (
     matrix_digest,
 )
 from .tptp import CnfDecl, Problem
+from .trainstore import fnv64
 
 
 class ClausifyError(Exception):
@@ -65,18 +66,6 @@ def nnf(f: Formula, sign: bool = True) -> Formula:
 
 
 # --- Skolemization ----------------------------------------------------------
-
-FNV64_OFFSET = 0xCBF29CE484222325
-FNV64_PRIME = 0x100000001B3
-
-
-def fnv64(data: bytes) -> int:
-    h = FNV64_OFFSET
-    for byte in data:
-        h ^= byte
-        h = (h * FNV64_PRIME) & 0xFFFFFFFFFFFFFFFF
-    return h
-
 
 def _canonical_formula(f: Formula) -> str:
     """Canonical serialization: bound vars by binder depth, free by occurrence."""

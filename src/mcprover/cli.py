@@ -12,18 +12,18 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from . import mcts
 from .calculus import CalculusOptions
 from .checker import certificate_for, check_proof, format_certificate
-from .clausify import ClausifyError, ClausifyOptions, clausify, prepare_matrix
+from .clausify import ClausifyError, ClausifyOptions, load_matrix
 from .deepening import DeepeningOptions, Proof, Saturated, prove_iterative
 from .guidance import COMBINERS, ProvabilityModel, RewardConfig, SimulationWeights, WEIGHT_POLICIES
 from .proving import ConnectionGame
 from .terms import Matrix, matrix_to_cnf
-from .tptp import ParseError, load_problem
-from .trainstore import Store
+from .tptp import ParseError
+from .trainstore import Store, StoreFormatError
 from .tsp import TspGame, TspInstance, WEIGHT_READINGS, brute_force_optimum
 
 
@@ -45,6 +45,7 @@ _ANNOTATION = re.compile(r"^%\s*(Status|DepthBound)\s*:\s*(\S+)", re.MULTILINE)
 
 
 def load_corpus(directory: str) -> list:
+    """The annotated .p problems under `directory`; ValueError if none."""
     problems = []
     for entry in sorted(os.listdir(directory)):
         if not entry.endswith(".p"):
@@ -58,6 +59,8 @@ def load_corpus(directory: str) -> list:
                 else:
                     info.depth_bound = int(value)
         problems.append(info)
+    if not problems:
+        raise ValueError(f"no .p problems under {directory}")
     return problems
 
 
@@ -65,6 +68,8 @@ def load_corpus(directory: str) -> list:
 
 @dataclass
 class EngineSetup:
+    """One engine configuration; the fields are the dests of `_ENGINE_FLAGS`."""
+
     engine: str = "deepening"
     timeout: float | None = None
     max_inferences: int | None = None
@@ -79,7 +84,7 @@ class EngineSetup:
     # mcts
     seed: int = 0
     cp: float = mcts.SearchConfig.cp_base
-    cp_amplitude: float = 0.0
+    cp_amp: float = 0.0
     cp_period: float = 0.0
     sim_depth: int = 20
     expansion: str = "first"
@@ -87,12 +92,19 @@ class EngineSetup:
     # guidance
     weights: str = "constant"
     reduction_weight: float = 1.0
-    ratio_weight: float = 0.5
+    reward_ratio_weight: float = 0.5
     combiner: str = "geometric"
-    certainty_c: float = 1.0
-    certainty_d: float = 2.0
+    cert_c: float = 1.0
+    cert_d: float = 2.0
     raw_ratio: bool = False
     model: str | None = None
+
+    def __post_init__(self):
+        # an out-of-range value fails here, before any problem is searched
+        self.deepening_options()
+        self.search_config().validate()
+        self.simulation_weights()
+        self.reward_config()
 
     def calculus_options(self) -> CalculusOptions:
         return CalculusOptions(regularity=self.regularity, lemmas=self.lemmas)
@@ -112,7 +124,7 @@ class EngineSetup:
     def search_config(self) -> mcts.SearchConfig:
         return mcts.SearchConfig(
             cp_base=self.cp,
-            cp_amplitude=self.cp_amplitude,
+            cp_amplitude=self.cp_amp,
             cp_period=self.cp_period,
             max_sim_depth=self.sim_depth,
             max_iterations=self.max_iterations,
@@ -121,12 +133,15 @@ class EngineSetup:
             seed=self.seed,
         )
 
+    def simulation_weights(self) -> SimulationWeights:
+        return SimulationWeights(self.weights, self.reduction_weight)
+
     def reward_config(self) -> RewardConfig:
         return RewardConfig.with_ratio_weight(
-            self.ratio_weight,
+            self.reward_ratio_weight,
             combiner=self.combiner,
-            certainty_c=self.certainty_c,
-            certainty_d=self.certainty_d,
+            certainty_c=self.cert_c,
+            certainty_d=self.cert_d,
             raw_ratio=self.raw_ratio,
         )
 
@@ -134,7 +149,7 @@ class EngineSetup:
         return ConnectionGame(
             matrix,
             calculus=self.calculus_options(),
-            weights=SimulationWeights(self.weights, self.reduction_weight),
+            weights=self.simulation_weights(),
             reward=self.reward_config(),
             model=model,
         )
@@ -253,51 +268,22 @@ def print_report(report: RunReport, out=None):
 # --- subcommands ------------------------------------------------------------
 
 def _load_matrix(path: str, args) -> Matrix:
-    problem = load_problem(path, tuple(args.include_dir or ()))
     options = ClausifyOptions(add_equality_axioms=args.equality_axioms)
-    return prepare_matrix(clausify(problem, options))
+    return load_matrix(path, tuple(args.include_dir or ()), options)
 
 
-def _setup_from_args(args) -> EngineSetup:
-    timeout = args.timeout  # train and bench default to 5 s without any budget flag
-    if timeout is None and args.max_inferences is None:
-        timeout = args.default_timeout
-    return EngineSetup(
-        engine=args.engine,
-        timeout=timeout,
-        max_inferences=args.max_inferences,
-        depth_start=args.depth_start,
-        depth_increment=args.depth_increment,
-        max_depth=args.max_depth,
-        cut=args.cut,
-        regularity=not args.no_regularity,
-        lemmas=not args.no_lemmas,
-        seed=args.seed,
-        cp=args.cp,
-        cp_amplitude=args.cp_amp,
-        cp_period=args.cp_period,
-        sim_depth=args.sim_depth,
-        expansion=args.expansion,
-        max_iterations=args.max_iterations,
-        weights=args.weights,
-        reduction_weight=args.reduction_weight,
-        ratio_weight=args.reward_ratio_weight,
-        combiner=args.combiner,
-        certainty_c=args.cert_c,
-        certainty_d=args.cert_d,
-        raw_ratio=args.raw_ratio,
-        model=args.model,
-    )
+def _setup_from_args(args, **overrides) -> EngineSetup:
+    values = {f.name: getattr(args, f.name) for f in fields(EngineSetup)} | overrides
+    # train and bench default to 5 s without any budget flag
+    if values["timeout"] is None and values["max_inferences"] is None:
+        values["timeout"] = args.default_timeout
+    return EngineSetup(**values)
 
 
 def cmd_prove(args) -> int:
-    try:
-        matrix = _load_matrix(args.problem, args)
-        setup = _setup_from_args(args)
-        model = ProvabilityModel.load(setup.model) if setup.model else None
-    except (ParseError, ClausifyError, OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    matrix = _load_matrix(args.problem, args)
+    setup = _setup_from_args(args)
+    model = ProvabilityModel.load(setup.model) if setup.model else None
     report = run_engine(matrix, setup, os.path.basename(args.problem), model=model)
     print_report(report)
     print(f"wall time  : {report.wall_time:.3f}s", file=sys.stderr)
@@ -315,11 +301,7 @@ def cmd_prove(args) -> int:
 
 def cmd_train(args) -> int:
     problems = load_corpus(args.corpus)
-    if not problems:
-        print(f"error: no .p problems under {args.corpus}", file=sys.stderr)
-        return 2
-    setup = _setup_from_args(args)
-    setup.engine = "deepening"
+    setup = _setup_from_args(args, engine="deepening")
     store = Store()
     solved = 0
     for info in problems:
@@ -341,43 +323,44 @@ def cmd_train(args) -> int:
     return 0
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
+def _config_value(key: str, text: str, row: dict):
+    """`text` read as the value of the key's flag row. A switch takes true,
+    which sets what its flag sets, or false, which sets the opposite."""
+    action = row.get("action")
+    try:
+        if action in ("store_true", "store_false"):
+            return _BOOLEANS[text.lower()] == (action == "store_true")
+        value = row.get("type", str)(text)
+        if "choices" in row and value not in row["choices"]:
+            raise ValueError
+        return value
+    except (KeyError, ValueError):
+        raise ValueError(f"configuration key {key!r}: invalid value {text!r}") from None
+
+
 def _parse_config_spec(spec: str, base_args) -> tuple:
-    """NAME=key:value,key:value configuration for bench sweeps."""
-    if "=" in spec:
-        name, _, body = spec.partition("=")
-    else:
-        name, body = spec, ""
-    setup = _setup_from_args(base_args)
-    aliases = {"reward_ratio_weight": "ratio_weight", "cp_amp": "cp_amplitude", "cert_c": "certainty_c", "cert_d": "certainty_d"}
+    """NAME=key:value,key:value configuration for bench sweeps; the keys are
+    the engine flags' names, with `-` or `_`."""
+    name, _, body = spec.partition("=")
+    rows = dict(_ENGINE_FLAGS)
+    overrides = {}
     for item in filter(None, body.split(",")):
-        key, _, value = item.partition(":")
-        key = aliases.get(key.replace("-", "_"), key.replace("-", "_"))
-        if not hasattr(setup, key):
+        key, _, text = item.partition(":")
+        flag = "--" + key.replace("_", "-")
+        if flag not in rows:
             raise ValueError(f"unknown configuration key {key!r}")
-        current = getattr(setup, key)
-        if isinstance(current, bool):
-            setattr(setup, key, value.lower() in ("1", "true", "yes", "on"))
-        elif key in ("max_iterations", "max_inferences", "max_depth"):
-            setattr(setup, key, int(value))
-        elif isinstance(current, int):
-            setattr(setup, key, int(value))
-        elif isinstance(current, float) or current is None and key == "timeout":
-            setattr(setup, key, float(value))
-        else:
-            setattr(setup, key, value)
-    return name, setup
+        dest = rows[flag].get("dest", flag[2:].replace("-", "_"))
+        overrides[dest] = _config_value(key, text, rows[flag])
+    return name, _setup_from_args(base_args, **overrides)
 
 
 def cmd_bench(args) -> int:
     problems = load_corpus(args.corpus)
-    if not problems:
-        print(f"error: no .p problems under {args.corpus}", file=sys.stderr)
-        return 2
-    try:
-        configs = [_parse_config_spec(spec, args) for spec in (args.config or ["default"])]
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    configs = [_parse_config_spec(spec, args) for spec in (args.config or ["default"])]
     models = {}
     for name, setup in configs:
         if setup.model and setup.model not in models:
@@ -425,16 +408,14 @@ def cmd_bench(args) -> int:
 
 
 def cmd_tsp(args) -> int:
-    try:
-        if args.instance:
-            with open(args.instance, encoding="utf-8") as handle:
-                instance = TspInstance.parse(handle.read())
-        else:
-            instance = TspInstance.random(args.random, seed=args.instance_seed)
-    except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    if args.instance:
+        with open(args.instance, encoding="utf-8") as handle:
+            instance = TspInstance.parse(handle.read())
+    else:
+        instance = TspInstance.random(args.random, seed=args.instance_seed)
     game = TspGame(instance, reading=args.weight_reading)
+    # the optimum first: an instance too large for brute force fails before the search
+    optimum = brute_force_optimum(instance) if args.brute_force else None
     config = mcts.SearchConfig(
         seed=args.seed,
         max_iterations=args.iterations,
@@ -448,8 +429,8 @@ def cmd_tsp(args) -> int:
     if best is not None:
         print(f"best tour  : {' '.join(map(str, best))}")
         print(f"best length: {instance.tour_length(best):g}")
-    if args.brute_force:
-        tour, length = brute_force_optimum(instance)
+    if optimum:
+        tour, length = optimum
         print(f"optimum    : {' '.join(map(str, tour))} (length {length:g})")
         if best is not None and instance.tour_length(best) == length:
             print("matched    : yes")
@@ -457,11 +438,7 @@ def cmd_tsp(args) -> int:
 
 
 def cmd_show(args) -> int:
-    try:
-        matrix = _load_matrix(args.problem, args)
-    except (ParseError, ClausifyError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    matrix = _load_matrix(args.problem, args)
     sys.stdout.write(matrix_to_cnf(matrix))
     print(f"% digest {matrix.digest}", file=sys.stderr)
     return 0
@@ -469,33 +446,42 @@ def cmd_show(args) -> int:
 
 # --- argument parsing ---------------------------------------------------------
 
+# (flag, argparse keywords) for every EngineSetup field; the defaults live in
+# EngineSetup, and bench --config keys are these flags' names
+_ENGINE_FLAGS = (
+    ("--engine", dict(choices=("deepening", "mcts"))),
+    ("--timeout", dict(type=float, help="per-problem seconds")),
+    ("--max-inferences", dict(type=int)),
+    ("--depth-start", dict(type=int)),
+    ("--depth-increment", dict(type=int)),
+    ("--max-depth", dict(type=int)),
+    ("--cut", dict(action="store_true")),
+    ("--no-cut", dict(dest="cut", action="store_false")),
+    ("--no-regularity", dict(dest="regularity", action="store_false")),
+    ("--no-lemmas", dict(dest="lemmas", action="store_false")),
+    ("--seed", dict(type=int)),
+    ("--cp", dict(type=float)),
+    ("--cp-amp", dict(type=float)),
+    ("--cp-period", dict(type=float)),
+    ("--sim-depth", dict(type=int)),
+    ("--expansion", dict(choices=("first", "best"))),
+    ("--max-iterations", dict(type=int)),
+    ("--weights", dict(choices=WEIGHT_POLICIES)),
+    ("--reduction-weight", dict(type=float)),
+    ("--reward-ratio-weight", dict(type=float)),
+    ("--combiner", dict(choices=COMBINERS)),
+    ("--cert-c", dict(type=float)),
+    ("--cert-d", dict(type=float)),
+    ("--raw-ratio", dict(action="store_true")),
+    ("--model", dict(help="literal statistics file")),
+)
+
+
 def _add_engine_flags(parser):
-    parser.add_argument("--engine", choices=("deepening", "mcts"), default="deepening")
-    parser.add_argument("--timeout", type=float, default=None, help="per-problem seconds")
-    parser.add_argument("--max-inferences", type=int, default=None)
-    parser.add_argument("--depth-start", type=int, default=1)
-    parser.add_argument("--depth-increment", type=int, default=1)
-    parser.add_argument("--max-depth", type=int, default=None)
     cut = parser.add_mutually_exclusive_group()
-    cut.add_argument("--cut", dest="cut", action="store_true", default=False)
-    cut.add_argument("--no-cut", dest="cut", action="store_false")
-    parser.add_argument("--no-regularity", action="store_true")
-    parser.add_argument("--no-lemmas", action="store_true")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--cp", type=float, default=mcts.SearchConfig.cp_base)
-    parser.add_argument("--cp-amp", type=float, default=0.0)
-    parser.add_argument("--cp-period", type=float, default=0.0)
-    parser.add_argument("--sim-depth", type=int, default=20)
-    parser.add_argument("--expansion", choices=("first", "best"), default="first")
-    parser.add_argument("--max-iterations", type=int, default=None)
-    parser.add_argument("--weights", choices=WEIGHT_POLICIES, default="constant")
-    parser.add_argument("--reduction-weight", type=float, default=1.0)
-    parser.add_argument("--reward-ratio-weight", type=float, default=0.5)
-    parser.add_argument("--combiner", choices=COMBINERS, default="geometric")
-    parser.add_argument("--cert-c", type=float, default=1.0)
-    parser.add_argument("--cert-d", type=float, default=2.0)
-    parser.add_argument("--raw-ratio", action="store_true")
-    parser.add_argument("--model", default=None, help="literal statistics file")
+    for flag, kwargs in _ENGINE_FLAGS:
+        (cut if flag in ("--cut", "--no-cut") else parser).add_argument(flag, **kwargs)
+    parser.set_defaults(**asdict(EngineSetup()))
     parser.add_argument("--include-dir", action="append", default=[])
     parser.add_argument("--equality-axioms", action="store_true")
 
@@ -547,7 +533,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ParseError, ClausifyError, StoreFormatError, OSError, ValueError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -151,9 +151,6 @@ class ProvabilityModel:
     def __len__(self) -> int:
         return len(self._store)
 
-    def counts(self, key: LiteralKey) -> tuple:
-        return self._store.counts(key)
-
     def literal_value(self, key: LiteralKey, config: RewardConfig) -> float:
         p, n = self._store.counts(key)
         return literal_provability(p, n, config.certainty_c, config.certainty_d)

@@ -35,13 +35,10 @@ class MctsProblem:
     def successors(self, state) -> list:
         raise NotImplementedError
 
-    def transition_weight(self, state, successor) -> float:
-        return 1.0
-
     def weights(self, state, candidates) -> list:
-        """Batch form of transition_weight; override when weights need the
-        whole candidate cohort to be computed efficiently."""
-        return [self.transition_weight(state, s) for s in candidates]
+        """Transition weights of the candidate successors of `state`, which
+        bias random playouts; uniform by default."""
+        return [1.0] * len(candidates)
 
     def reward(self, state) -> float:
         raise NotImplementedError

@@ -81,9 +81,6 @@ class ConnectionGame(MctsProblem):
                 self.extension_inferences += 1
         return [successor for _, successor in pairs]
 
-    def transition_weight(self, state: ProverState, successor: ProverState) -> float:
-        return self.weights(state, [successor])[0]
-
     def weights(self, state: ProverState, candidates) -> list:
         policy = self.sim_weights.policy
         out = []

@@ -39,10 +39,6 @@ class FofDecl:
 class Problem:
     declarations: list = field(default_factory=list)
 
-    @property
-    def has_fof(self) -> bool:
-        return any(isinstance(d, FofDecl) for d in self.declarations)
-
 
 # --- lexer ------------------------------------------------------------------
 

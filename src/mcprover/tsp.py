@@ -125,10 +125,6 @@ class TspGame(MctsProblem):
             return [1.0 / sum(1 for other in costs if other <= cost) for cost in costs]
         return [1.0 / sum(1 for other in costs if other >= cost) for cost in costs]
 
-    def transition_weight(self, state: tuple, successor: tuple) -> float:
-        siblings = self.successors(state)
-        return self.weights(state, siblings)[siblings.index(successor)]
-
     def reward(self, state: tuple) -> float:
         closed = len(state) == self.instance.n
         length = self.instance.tour_length(state, closed=closed)

@@ -1,9 +1,20 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
+import mcprover
 from mcprover.checker import check_proof, parse_certificate
-from mcprover.cli import _setup_from_args, build_parser, bundled_corpus_dir, load_corpus, main
+from mcprover.cli import (
+    _ENGINE_FLAGS,
+    _parse_config_spec,
+    _setup_from_args,
+    build_parser,
+    bundled_corpus_dir,
+    load_corpus,
+    main,
+)
 from mcprover.clausify import clausify, prepare_matrix
 from mcprover.tptp import load_problem
 from mcprover.trainstore import Store
@@ -164,20 +175,86 @@ def test_show_prints_prepared_matrix(capsys):
     assert "~$top | p" in out
 
 
-def test_bench_rejects_unknown_config_key(capsys, tmp_path):
+@pytest.mark.parametrize("item", [
+    "banana:1", "weights:bogus", "engine:bogus", "expansion:zzz", "cut:maybe", "ratio_weight:0.2",
+])
+def test_bench_rejects_unknown_config_key(capsys, tmp_path, item):
     corpus = tmp_path / "c"
     corpus.mkdir()
     (corpus / "x.p").write_text("cnf(c1, axiom, p).\ncnf(c2, axiom, ~p).\n")
-    code, _, err = run_cli(capsys, "bench", str(corpus), "--config", "z=banana:1")
+    code, _, err = run_cli(capsys, "bench", str(corpus), "--config", f"z={item}")
     assert code == 2
-    assert "banana" in err
+    assert item.partition(":")[0] in err
+
+
+@pytest.mark.parametrize("flag, kwargs", _ENGINE_FLAGS, ids=[flag for flag, _ in _ENGINE_FLAGS])
+def test_config_key_matches_engine_flag(flag, kwargs):
+    """`key:value` in a bench config sets what the flag sets on the command line."""
+    base = ["bench", "--cp-period", "3"]  # a period makes any --cp-amp valid
+    if "action" in kwargs:
+        value, argv = "true", [flag]
+    elif "choices" in kwargs:
+        value = kwargs["choices"][-1]
+        argv = [flag, value]
+    else:
+        value = {int: "3", float: "0.25"}.get(kwargs.get("type"), "model.txt")
+        argv = [flag, value]
+    expected = _setup_from_args(build_parser().parse_args(base + argv))
+    for key in (flag[2:], flag[2:].replace("-", "_")):
+        parsed = _parse_config_spec(f"x={key}:{value}", build_parser().parse_args(base))
+        assert parsed == ("x", expected)
+
+
+def test_config_switch_false_sets_the_opposite():
+    base = build_parser().parse_args(["bench", "--cut"])
+    assert _parse_config_spec("x=cut:false", base)[1].cut is False
+    assert _parse_config_spec("x=no_cut:false", base)[1].cut is True
+    assert _parse_config_spec("x=no-regularity:TRUE", base)[1].regularity is False
+
+
+# inputs that must end in exit code 2 and a single `error:` line
+EXIT_TWO_CASES = {
+    "mcts-cp-zero": ["prove", "{problem}", "--engine", "mcts", "--cp", "0"],
+    "depth-start-zero": ["prove", "{problem}", "--depth-start", "0"],
+    "ratio-weight-above-one": ["prove", "{problem}", "--reward-ratio-weight", "2"],
+    "reduction-weight-zero": ["prove", "{problem}", "--engine", "mcts", "--reduction-weight", "0"],
+    "malformed-model": ["prove", "{problem}", "--engine", "mcts", "--model", "{bad_model}"],
+    "proof-out-missing-dir": ["prove", "{problem}", "--proof-out", "{missing}/p"],
+    "bench-missing-corpus": ["bench", "{missing}"],
+    "bench-empty-corpus": ["bench", "{empty}"],
+    "bench-missing-model": ["bench", "{corpus}", "--model", "{missing}/model.txt"],
+    "train-out-missing-dir": ["train", "{corpus}", "--model-out", "{missing}/m.txt"],
+    "tsp-brute-force-too-large": ["tsp", "--random", "12", "--brute-force"],
+}
+SUBPROCESS_CASE = "bench-missing-corpus"  # also covers the `python -m` entry point
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_TWO_CASES))
+def test_bad_input_exits_two_with_one_error_line(capsys, tmp_path, case):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "prop_unit.p").write_text(open(corpus_file("prop_unit.p")).read())
+    (tmp_path / "empty").mkdir()
+    bad_model = tmp_path / "bad_model.txt"
+    bad_model.write_text("not a model\n")
+    places = dict(problem=corpus_file("prop_unit.p"), corpus=corpus, bad_model=bad_model,
+                  missing=tmp_path / "missing", empty=tmp_path / "empty")
+    argv = [arg.format(**places) for arg in EXIT_TWO_CASES[case]]
+    if case == SUBPROCESS_CASE:
+        src = os.path.dirname(os.path.dirname(os.path.abspath(mcprover.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "mcprover.cli", *argv],
+                              env=env, capture_output=True, text=True)
+        code, err = done.returncode, done.stderr
+    else:
+        code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
 
 
 def test_model_hash_stability_across_processes(tmp_path, capsys):
     """A fresh interpreter (different hash seed) writes the same model file."""
-    import subprocess
-    import sys
-
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     for name in ("prop_chain3.p", "fo_trans.p", "fof_socrates.p"):

@@ -395,7 +395,7 @@ def test_finished_search_leaves_no_reference_cycles():
 
     path = f"{bundled_corpus_dir()}/hard_maze14.p"
     matrix = prepare_matrix(clausify(load_problem(path)))
-    bf = EngineSetup(engine="mcts", sim_depth=1, ratio_weight=0.0, max_inferences=3000)
+    bf = EngineSetup(engine="mcts", sim_depth=1, reward_ratio_weight=0.0, max_inferences=3000)
     gc.collect()
     gc.disable()
     try:
