@@ -31,8 +31,10 @@ PROVE_CONFIGS = {
     "bf": ["--engine", "mcts", "--sim-depth", "1", "--reward-ratio-weight", "0",
            "--max-inferences", "1500"],
     "deepening": ["--max-inferences", "3000"],
+    "deepening-cut": ["--cut", "--max-inferences", "3000"],
 }
 TRAIN_ARGS = ["--max-inferences", "150000", "--timeout", "0"]
+TRAIN_CONFIGS = {"corpus": [], "cut": ["--cut"]}
 # bf MCTS spends seconds per hundred inferences on sat_chain, and deepening
 # minutes on its 150000 training inferences; it is never solved, so leaving it
 # out changes no model entry
@@ -72,8 +74,9 @@ def compute_digests(workdir) -> dict:
     for info in load_corpus(bundled_corpus_dir()):
         if info.name not in SKIPPED:
             shutil.copy(info.path, corpus)
-    argv = ["train", corpus, *TRAIN_ARGS, "--model-out", out_path]
-    digests["train corpus"] = _run(argv, out_path)
+    for config, flags in TRAIN_CONFIGS.items():
+        argv = ["train", corpus, *TRAIN_ARGS, *flags, "--model-out", out_path]
+        digests[f"train {config}"] = _run(argv, out_path)
     columns = os.environ.get("COLUMNS")
     os.environ["COLUMNS"] = "80"
     try:
