@@ -83,11 +83,14 @@ class Goal:
 class ProverState:
     goals: tuple
     sigma: Substitution
-    opened_total: int
     fresh_var: int
     extensions: int
     reductions: int
     trail: tuple | None  # cons cell (action, parent_trail)
+
+    @property
+    def opened_total(self) -> int:  # the start goal plus one goal per extension
+        return self.extensions + 1
 
     @property
     def open_count(self) -> int:
@@ -120,7 +123,6 @@ def initial_state(matrix: Matrix) -> ProverState:
     return ProverState(
         goals=(start,),
         sigma=EMPTY_SUBSTITUTION,
-        opened_total=1,
         fresh_var=0,
         extensions=0,
         reductions=0,
@@ -182,7 +184,6 @@ def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DE
                         ProverState(
                             goals=retained(),
                             sigma=sigma,
-                            opened_total=state.opened_total,
                             fresh_var=state.fresh_var,
                             extensions=state.extensions,
                             reductions=state.reductions,
@@ -209,7 +210,6 @@ def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DE
                 ProverState(
                     goals=retained(),
                     sigma=sigma2,
-                    opened_total=state.opened_total,
                     fresh_var=state.fresh_var,
                     extensions=state.extensions,
                     reductions=state.reductions + 1,
@@ -252,7 +252,6 @@ def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DE
                 ProverState(
                     goals=new_goals,
                     sigma=sigma2,
-                    opened_total=state.opened_total + 1,
                     fresh_var=state.fresh_var + clause.var_count,
                     extensions=state.extensions + 1,
                     reductions=state.reductions,

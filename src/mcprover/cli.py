@@ -247,22 +247,21 @@ def run_engine(matrix: Matrix, setup: EngineSetup, problem_name: str,
     return report
 
 
-def print_report(report: RunReport, out=None):
-    out = out or sys.stdout
-    print(f"problem    : {report.problem}", file=out)
-    print(f"engine     : {report.engine}", file=out)
-    print(f"outcome    : {report.outcome}", file=out)
+def print_report(report: RunReport):
+    print(f"problem    : {report.problem}")
+    print(f"engine     : {report.engine}")
+    print(f"outcome    : {report.outcome}")
     if report.detail:
-        print(f"detail     : {report.detail}", file=out)
+        print(f"detail     : {report.detail}")
     if report.extensions is not None:
-        print(f"extensions : {report.extensions}", file=out)
-        print(f"reductions : {report.reductions}", file=out)
+        print(f"extensions : {report.extensions}")
+        print(f"reductions : {report.reductions}")
     if report.total_inferences is not None:
-        print(f"inferences : {report.total_inferences}", file=out)
+        print(f"inferences : {report.total_inferences}")
     if report.iterations is not None:
-        print(f"iterations : {report.iterations}", file=out)
+        print(f"iterations : {report.iterations}")
     if report.checker:
-        print(f"checker    : {report.checker}", file=out)
+        print(f"checker    : {report.checker}")
 
 
 # --- subcommands ------------------------------------------------------------
@@ -270,6 +269,13 @@ def print_report(report: RunReport, out=None):
 def _load_matrix(path: str, args) -> Matrix:
     options = ClausifyOptions(add_equality_axioms=args.equality_axioms)
     return load_matrix(path, tuple(args.include_dir or ()), options)
+
+
+def _check_output_path(path: str | None):
+    """Fail before any work when `path` could not be written afterwards."""
+    directory = os.path.dirname(path or "") or "."
+    if path and not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+        raise OSError(f"cannot write {path}: {directory} is not a writable directory")
 
 
 def _setup_from_args(args, **overrides) -> EngineSetup:
@@ -281,6 +287,7 @@ def _setup_from_args(args, **overrides) -> EngineSetup:
 
 
 def cmd_prove(args) -> int:
+    _check_output_path(args.proof_out)
     matrix = _load_matrix(args.problem, args)
     setup = _setup_from_args(args)
     model = ProvabilityModel.load(setup.model) if setup.model else None
@@ -300,6 +307,7 @@ def cmd_prove(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_output_path(args.model_out)
     problems = load_corpus(args.corpus)
     setup = _setup_from_args(args, engine="deepening")
     store = Store()
@@ -359,6 +367,7 @@ def _parse_config_spec(spec: str, base_args) -> tuple:
 
 
 def cmd_bench(args) -> int:
+    _check_output_path(args.machine_out)
     problems = load_corpus(args.corpus)
     configs = [_parse_config_spec(spec, args) for spec in (args.config or ["default"])]
     models = {}
@@ -535,7 +544,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ClausifyError, StoreFormatError, OSError, ValueError) as err:
+    except (ParseError, ClausifyError, StoreFormatError, OSError, ValueError, RecursionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

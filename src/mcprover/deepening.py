@@ -1,10 +1,13 @@
 """Iterative-deepening depth-first proof search with backtracking.
 
-The search is structured around literal closures: for the head literal of the
-designated goal it lazily enumerates every way to close it (lemma, reductions,
-extensions whose opened subgoals were closed in turn) and backtracks through
-that sequence. The optional cut commits to the first closure of each literal,
-which prunes heavily but loses completeness.
+Each depth-bounded round is one loop over an explicit stack of choice points,
+as leanCoP backtracks (Otten & Bibel 2003): an expanded state pushes a record
+of its untried successors, the loop tries the next successor of the top
+record, and a record with none left is popped. A record's head literal is
+closed once the goal stack falls back to the record's target height (the
+goals below plus the head's remainder). The optional cut commits to such a
+closure: the outermost literal it closed keeps no alternatives and the records
+above it are dropped (Otten 2010). This prunes heavily but loses completeness.
 
 During the final (successful) deepening round the search can record literal
 outcome statistics: a goal literal counts as a success when a reduction
@@ -15,16 +18,17 @@ was exhausted without a closure.
 
 from __future__ import annotations
 
-import sys
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 from .calculus import (
+    Action,
     CalculusOptions,
     Extension,
+    Goal,
     LemmaStep,
     ProverState,
-    Reduction,
     has_applicable_extension,
     initial_state,
     successors,
@@ -78,9 +82,7 @@ class Timeout:
 @dataclass
 class RunStats:
     extension_inferences: int = 0  # extension successors constructed while enumerating
-    reduction_inferences: int = 0
     rounds: int = 0
-    max_depth: int = 0
 
 
 @dataclass
@@ -95,98 +97,98 @@ class DeepeningResult:
 
 
 class _OutOfBudget(Exception):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+    """The time or inference budget is spent; the one argument says which."""
 
 
-class _Budget:
-    __slots__ = ("deadline", "inference_cap", "stats")
+@dataclass(slots=True, eq=False)
+class _ChoicePoint:
+    """An expanded state: its untried successors and how far its head is proved."""
 
-    def __init__(self, options: DeepeningOptions, stats: RunStats):
-        self.deadline = time.monotonic() + options.time_budget if options.time_budget else None
-        self.inference_cap = options.inference_budget
-        self.stats = stats
-
-    def tick(self):
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise _OutOfBudget("time")
-        if self.inference_cap is not None and self.stats.extension_inferences > self.inference_cap:
-            raise _OutOfBudget("inferences")
+    untried: Iterator
+    goal: Goal
+    target: int  # goal-stack height once the head is closed: the goals below plus its remainder
+    action: Action | None = None  # the successor being tried, until it first closes the head
+    closed_any: bool = False
+    head_emitted: bool = False
 
 
 class _DepthSearch:
     """One depth-bounded exhaustive search over the successor relation."""
 
-    def __init__(self, matrix, options, bound, budget, key_table):
+    def __init__(self, matrix, options, bound, deadline, stats, key_table):
         self.matrix = matrix
         self.calc = replace(options.calculus, depth_bound=bound)
-        self.bound = bound
         self.cut = options.cut
-        self.budget = budget
+        self.deadline = deadline
+        self.inference_cap = options.inference_budget
+        self.stats = stats
         self.keys = key_table
         self.bound_hit = False
         self.events: list = []
 
     def run(self):
-        for final in self._closures_to(initial_state(self.matrix), 0):
-            return final
+        """The first closed state, or None once every choice is spent."""
+        stack = [self._expand(initial_state(self.matrix))]
+        while stack:
+            top = stack[-1]
+            step = next(top.untried, None)
+            if step is None:
+                stack.pop()
+                if self.keys is not None and not top.closed_any:
+                    self._emit(top.goal.clause_index, top.goal.literal_indices[0], False)
+                continue
+            top.action, state = step
+            height = len(state.goals)
+            # `state` closes the records of target `height`, innermost first, up
+            # to one whose head leaves a remainder open; records of a higher
+            # target hold literals closed earlier
+            lowest = None
+            for index in range(len(stack) - 1, -1, -1):
+                point = stack[index]
+                if point.target < height:
+                    break
+                if point.target == height:
+                    self._closed(point)
+                    lowest = index
+                    if len(point.goal.clause) > 1:
+                        break
+            if not height:
+                return state
+            if self.cut and lowest is not None:
+                # commit to this closure of the outermost closed literal
+                stack[lowest].untried = iter(())
+                del stack[lowest + 1:]
+            stack.append(self._expand(state))
         return None
 
-    def _closures_to(self, state: ProverState, base: int):
-        """Descendants of `state` whose goal stack is back down to `base`."""
-        if len(state.goals) == base:
-            yield state
-            return
-        for closed in self._literal_closures(state):
-            yield from self._closures_to(closed, base)
-            if self.cut:
-                break
-
-    def _literal_closures(self, state: ProverState):
-        """States in which the designated goal's head literal is fully proved."""
-        self.budget.tick()
+    def _expand(self, state: ProverState) -> _ChoicePoint:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise _OutOfBudget("time")
+        if self.inference_cap is not None and self.stats.extension_inferences > self.inference_cap:
+            raise _OutOfBudget("inferences")
         goal = state.goals[-1]
         succs = successors(state, self.matrix, self.calc)
-        stats = self.budget.stats
         for action, _ in succs:
             if isinstance(action, Extension):
-                stats.extension_inferences += 1
-            elif isinstance(action, Reduction):
-                stats.reduction_inferences += 1
-        if not self.bound_hit and goal.depth >= self.bound:
-            if has_applicable_extension(state, self.matrix):
-                self.bound_hit = True
+                self.stats.extension_inferences += 1
+        if not self.bound_hit and goal.depth >= self.calc.depth_bound:
+            self.bound_hit = has_applicable_extension(state, self.matrix)
+        return _ChoicePoint(iter(succs), goal, len(state.goals) - 1 + (len(goal.clause) > 1))
 
-        collect = self.keys is not None
-        head_emitted = False
-        closed_any = False
-        # stack height once the head's own subtree is closed: everything below
-        # the goal plus the goal's remainder, if any
-        target = len(state.goals) - 1 + (1 if len(goal.clause) > 1 else 0)
-        for action, succ in succs:
-            if isinstance(action, (LemmaStep, Reduction)):
-                closed_any = True
-                if collect and isinstance(action, Reduction) and not head_emitted:
-                    head_emitted = True
-                    self._emit(goal.clause_index, goal.literal_indices[0], True)
-                yield succ
-            else:
-                left_closed = False
-                for after in self._closures_to(succ, target):
-                    if not left_closed:
-                        left_closed = True
-                        closed_any = True
-                        if collect:
-                            if not head_emitted:
-                                head_emitted = True
-                                self._emit(goal.clause_index, goal.literal_indices[0], True)
-                            connected = self.matrix.clauses[action.clause].literals[action.literal]
-                            if connected.predicate != TOP_PREDICATE:
-                                self._emit(action.clause, action.literal, True)
-                    yield after
-        if collect and not closed_any:
-            self._emit(goal.clause_index, goal.literal_indices[0], False)
+    def _closed(self, point: _ChoicePoint):
+        """Record that the point's head literal closed; an extension's later
+        closures, found by backtracking into its subgoals, add no events."""
+        action, point.action = point.action, None
+        point.closed_any = True
+        if self.keys is None or action is None or isinstance(action, LemmaStep):
+            return
+        if not point.head_emitted:
+            point.head_emitted = True
+            self._emit(point.goal.clause_index, point.goal.literal_indices[0], True)
+        if isinstance(action, Extension):
+            connected = self.matrix.clauses[action.clause].literals[action.literal]
+            if connected.predicate != TOP_PREDICATE:
+                self._emit(action.clause, action.literal, True)
 
     def _emit(self, clause_index: int, literal_index: int, success: bool):
         self.events.append(TrainingEvent(self.keys.key(clause_index, literal_index), success))
@@ -198,18 +200,16 @@ def prove_iterative(matrix: Matrix, options: DeepeningOptions | None = None) -> 
     stats = RunStats()
     if not matrix.has_positive_start:
         return DeepeningResult(Saturated(0, complete=True, reason="no positive start clause"), stats)
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
-    budget = _Budget(options, stats)
+    deadline = time.monotonic() + options.time_budget if options.time_budget else None
     keys = KeyTable(matrix) if options.collect_training else None
     depth = options.start_depth
     while True:
         stats.rounds += 1
-        stats.max_depth = depth
-        search = _DepthSearch(matrix, options, depth, budget, keys)
+        search = _DepthSearch(matrix, options, depth, deadline, stats, keys)
         try:
             final = search.run()
         except _OutOfBudget as spent:
-            return DeepeningResult(Timeout(spent.reason), stats)
+            return DeepeningResult(Timeout(spent.args[0]), stats)
         if final is not None:
             proof = Proof(certificate_for(final, matrix), final, depth)
             return DeepeningResult(proof, stats, search.events)
@@ -217,7 +217,5 @@ def prove_iterative(matrix: Matrix, options: DeepeningOptions | None = None) -> 
             reason = "" if not options.cut else "exhausted under cut"
             return DeepeningResult(Saturated(depth, complete=not options.cut, reason=reason), stats)
         if options.max_depth is not None and depth >= options.max_depth:
-            return DeepeningResult(
-                Saturated(depth, complete=False, reason="depth cap reached"), stats
-            )
+            return DeepeningResult(Saturated(depth, complete=False, reason="depth cap reached"), stats)
         depth += options.increment

@@ -43,8 +43,6 @@ class Quant:
 
 Formula = Atom | Not | Binary | Quant
 
-BINARY_OPS = ("<=>", "<~>", "=>", "<=", "&", "|")
-
 
 def free_vars(f: Formula, bound: frozenset = frozenset()) -> list:
     """Free variable names in order of first occurrence."""

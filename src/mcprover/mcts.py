@@ -144,17 +144,11 @@ class MctsNode:
         self.reward_sum = 0.0
         self.deleted_visits = 0
 
-    @property
-    def mean(self) -> float:
-        return self.reward_sum / self.visits
-
 
 @dataclass
 class SearchStats:
     iterations: int = 0
-    simulations: int = 0
     deletions: int = 0
-    nodes_created: int = 0
     max_tree_depth: int = 0
     wall_time: float = 0.0
     best_reward: float = -1.0
@@ -166,7 +160,7 @@ class MctsTree:
         self.problem = problem
         self.root = MctsNode(root_state)
         self.root.unexplored = list(problem.successors(root_state))
-        self.stats = SearchStats(nodes_created=1)
+        self.stats = SearchStats()
 
     @property
     def exhausted(self) -> bool:
@@ -201,7 +195,6 @@ def mcts_step(tree: MctsTree, config: SearchConfig, rng: random.Random, iteratio
     action_state = node.unexplored.pop(idx)
 
     trajectory, success = simulate(action_state, problem, config.max_sim_depth, rng)
-    stats.simulations += 1
     chain = [action_state] + trajectory
     final = chain[-1]
     reward = problem.reward(final)
@@ -218,7 +211,6 @@ def mcts_step(tree: MctsTree, config: SearchConfig, rng: random.Random, iteratio
         child.unexplored = list(problem.successors(child_state))
     node.children.append(child)
     path.append(child)
-    stats.nodes_created += 1
     stats.max_tree_depth = max(stats.max_tree_depth, len(path) - 1)
 
     for walk in path:

@@ -174,7 +174,10 @@ class Store:
     @classmethod
     def load(cls, path: str) -> "Store":
         with open(path, encoding="utf-8") as handle:
-            return cls.loads(handle.read())
+            try:
+                return cls.loads(handle.read())
+            except StoreFormatError as err:
+                raise StoreFormatError(f"{path}: {err}") from None
 
 
 def merge_stores(a: Store, b: Store) -> Store:

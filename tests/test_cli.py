@@ -219,10 +219,12 @@ EXIT_TWO_CASES = {
     "ratio-weight-above-one": ["prove", "{problem}", "--reward-ratio-weight", "2"],
     "reduction-weight-zero": ["prove", "{problem}", "--engine", "mcts", "--reduction-weight", "0"],
     "malformed-model": ["prove", "{problem}", "--engine", "mcts", "--model", "{bad_model}"],
+    "deep-term": ["prove", "{deep_term}"],
     "proof-out-missing-dir": ["prove", "{problem}", "--proof-out", "{missing}/p"],
     "bench-missing-corpus": ["bench", "{missing}"],
     "bench-empty-corpus": ["bench", "{empty}"],
     "bench-missing-model": ["bench", "{corpus}", "--model", "{missing}/model.txt"],
+    "bench-machine-out-missing-dir": ["bench", "{corpus}", "--machine-out", "{missing}/b.tsv"],
     "train-out-missing-dir": ["train", "{corpus}", "--model-out", "{missing}/m.txt"],
     "tsp-brute-force-too-large": ["tsp", "--random", "12", "--brute-force"],
 }
@@ -237,20 +239,41 @@ def test_bad_input_exits_two_with_one_error_line(capsys, tmp_path, case):
     (tmp_path / "empty").mkdir()
     bad_model = tmp_path / "bad_model.txt"
     bad_model.write_text("not a model\n")
+    deep_term = tmp_path / "deep_term.p"  # deeper than the parser's recursion allows
+    deep_term.write_text(f"cnf(c1, axiom, p({'s(' * 3000}c{')' * 3000})).\ncnf(c2, axiom, ~p(X)).\n")
     places = dict(problem=corpus_file("prop_unit.p"), corpus=corpus, bad_model=bad_model,
-                  missing=tmp_path / "missing", empty=tmp_path / "empty")
+                  deep_term=deep_term, missing=tmp_path / "missing", empty=tmp_path / "empty")
     argv = [arg.format(**places) for arg in EXIT_TWO_CASES[case]]
     if case == SUBPROCESS_CASE:
         src = os.path.dirname(os.path.dirname(os.path.abspath(mcprover.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         done = subprocess.run([sys.executable, "-m", "mcprover.cli", *argv],
                               env=env, capture_output=True, text=True)
-        code, err = done.returncode, done.stderr
+        code, out, err = done.returncode, done.stdout, done.stderr
     else:
-        code, _, err = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *argv)
     assert code == 2
+    assert out == ""  # the error comes before any work is reported
     assert "Traceback" not in err
-    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    if case == "malformed-model":
+        assert bad_model.name in errors[0]
+
+
+def test_long_chain_proves_without_raising_recursion_limit(capsys, tmp_path):
+    """A proof 10000 extensions deep: p0, ~p_i | p_{i+1}, ~p_10000."""
+    steps = 10000
+    problem = tmp_path / "chain.p"
+    lines = ["cnf(c0, axiom, p0)."]
+    lines += [f"cnf(c{i + 1}, axiom, ~p{i} | p{i + 1})." for i in range(steps)]
+    lines.append(f"cnf(goal, negated_conjecture, ~p{steps}).")
+    problem.write_text("\n".join(lines) + "\n")
+    limit = sys.getrecursionlimit()
+    code, out, _ = run_cli(capsys, "prove", str(problem), "--depth-start", str(steps + 1))
+    assert code == 0
+    assert "outcome    : proof" in out
+    assert sys.getrecursionlimit() == limit
 
 
 def test_model_hash_stability_across_processes(tmp_path, capsys):
