@@ -1,5 +1,5 @@
-"""Golden digests of `mcprover prove` and `mcprover train` over the corpus,
-and of the `prove`, `train` and `bench` help texts.
+"""Golden digests of `mcprover prove`, `mcprover train` and `mcprover show`
+over the corpus, and of the `prove`, `train` and `bench` help texts.
 
 Every search decision is deterministic for a fixed seed under an inference
 budget, so the stdout report and the certificate of each run are fixed.
@@ -39,6 +39,7 @@ TRAIN_CONFIGS = {"corpus": [], "cut": ["--cut"]}
 # minutes on its 150000 training inferences; it is never solved, so leaving it
 # out changes no model entry
 SKIPPED = {"sat_chain"}
+SHOW_CONFIGS = {"show": [], "show-eq": ["--equality-axioms"]}
 HELP_COMMANDS = ("prove", "train", "bench")
 
 
@@ -69,6 +70,9 @@ def compute_digests(workdir) -> dict:
         for config, flags in PROVE_CONFIGS.items():
             argv = ["prove", info.path, "--timeout", "0", "--proof-out", out_path, *flags]
             digests[f"{config} {info.name}"] = _run(argv, out_path)
+    for info in load_corpus(bundled_corpus_dir()):
+        for config, flags in SHOW_CONFIGS.items():
+            digests[f"{config} {info.name}"] = _run(["show", info.path, *flags], out_path)
     corpus = os.path.join(workdir, "corpus")
     os.mkdir(corpus)
     for info in load_corpus(bundled_corpus_dir()):
