@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .formulas import Atom, Binary, FVar, Formula, Not, Quant, free_vars, subst_var
+from .formulas import Binary, Formula, Not, Quant, free_vars, subst_var
 from .terms import (
     App,
     Clause,
     EQ_PREDICATE,
+    FVar,
     Literal,
     Matrix,
     NEG_TOP,
@@ -23,6 +24,7 @@ from .terms import (
     Var,
     build_extension_index,
     matrix_digest,
+    number_variables,
 )
 from .tptp import CnfDecl, Problem
 from .trainstore import fnv64
@@ -39,9 +41,9 @@ class ClausifyOptions:
 
 
 def nnf(f: Formula, sign: bool = True) -> Formula:
-    """Negation normal form with =>, <=, <=>, <~> eliminated."""
-    if isinstance(f, Atom):
-        return f if sign else Not(f)
+    """Negation normal form with =>, <=, <=>, <~> eliminated; no `Not` is left."""
+    if isinstance(f, Literal):
+        return f if sign else f.complement()
     if isinstance(f, Not):
         return nnf(f.body, not sign)
     if isinstance(f, Quant):
@@ -83,10 +85,9 @@ def _canonical_formula(f: Formula) -> str:
         return f"{t.functor}/{len(t.args)}(" + ",".join(term(a, bound) for a in t.args) + ")"
 
     def walk(g, bound):
-        if isinstance(g, Atom):
-            return f"{g.predicate}/{len(g.args)}(" + ",".join(term(a, bound) for a in g.args) + ")"
-        if isinstance(g, Not):
-            return "~" + walk(g.body, bound)
+        if isinstance(g, Literal):
+            sign = "" if g.positive else "~"
+            return f"{sign}{g.predicate}/{len(g.args)}(" + ",".join(term(a, bound) for a in g.args) + ")"
         if isinstance(g, Binary):
             return f"({walk(g.left, bound)}{g.op}{walk(g.right, bound)})"
         inner = dict(bound)
@@ -110,33 +111,58 @@ def skolem_name(subformula: Formula, registry: dict) -> str:
 
 
 def skolemize(f: Formula, registry: dict) -> Formula:
-    """Remove existential quantifiers from an NNF formula, outermost first."""
-    if isinstance(f, (Atom, Not)):
-        return f
+    """Remove existential quantifiers from an NNF formula, outermost first.
+
+    A universal binder whose name an earlier one already took is renamed to
+    the first `name_k` that occurs nowhere in the formula, so that distinct
+    variables stay distinct once the quantifiers are dropped.
+    """
+    taken: set = set()
+
+    def walk(g):
+        if isinstance(g, Literal):
+            return g
+        if isinstance(g, Binary):
+            return Binary(g.op, walk(g.left), walk(g.right))
+        if g.kind == "!":
+            var, body = g.var, g.body
+            if var in taken:
+                used = taken | _variable_names(f)
+                k = 1
+                while f"{g.var}_{k}" in used:
+                    k += 1
+                var = f"{g.var}_{k}"
+                body = subst_var(body, g.var, FVar(var))
+            taken.add(var)
+            return Quant("!", var, walk(body))
+        name = skolem_name(g, registry)
+        args = tuple(FVar(v) for v in free_vars(g))
+        return walk(subst_var(g.body, g.var, App(name, args)))
+
+    return walk(f)
+
+
+def _variable_names(f: Formula) -> set:
+    """Every variable name bound or occurring in `f`."""
+    if isinstance(f, Literal):
+        return set(free_vars(f))
     if isinstance(f, Binary):
-        return Binary(f.op, skolemize(f.left, registry), skolemize(f.right, registry))
-    if f.kind == "!":
-        return Quant("!", f.var, skolemize(f.body, registry))
-    name = skolem_name(f, registry)
-    args = tuple(FVar(v) for v in free_vars(f))
-    replaced = subst_var(f.body, f.var, App(name, args))
-    return skolemize(replaced, registry)
+        return _variable_names(f.left) | _variable_names(f.right)
+    return {f.var} | _variable_names(f.body)
 
 
 # --- CNF distribution -------------------------------------------------------
 
 def distribute(f: Formula, limit: int) -> list:
-    """NNF-without-∃ formula to a list of literal lists ((sign, Atom) pairs)."""
+    """NNF-without-∃ formula to a list of clauses, each a list of `Literal`s."""
     if isinstance(f, Quant):
         if f.kind != "!":
             raise ClausifyError("existential quantifier survived Skolemization")
         return distribute(f.body, limit)
-    if isinstance(f, Atom):
-        return [[(True, f)]]
+    if isinstance(f, Literal):
+        return [[f]]
     if isinstance(f, Not):
-        if not isinstance(f.body, Atom):
-            raise ClausifyError("formula is not in negation normal form")
-        return [[(False, f.body)]]
+        raise ClausifyError("formula is not in negation normal form")
     left = distribute(f.left, limit)
     right = distribute(f.right, limit)
     if f.op == "&":
@@ -152,30 +178,9 @@ def distribute(f: Formula, limit: int) -> list:
     return [a + b for a in left for b in right]
 
 
-def _literals_to_clause(literals, origin: int, label: str) -> Clause:
-    names: dict = {}
-    var_names: list = []
-
-    def conv(t):
-        if isinstance(t, FVar):
-            if t.name not in names:
-                names[t.name] = len(var_names)
-                var_names.append(t.name)
-            return Var(names[t.name])
-        if isinstance(t, App) and t.args:
-            return App(t.functor, tuple(conv(a) for a in t.args))
-        return t
-
-    lits = tuple(
-        Literal(sign, atom.predicate, tuple(conv(a) for a in atom.args))
-        for sign, atom in literals
-    )
-    return Clause(lits, origin=origin, var_count=len(var_names), var_names=tuple(var_names), label=label)
-
-
 # --- equality axioms --------------------------------------------------------
 
-def equality_axioms(clauses, next_origin: int) -> list:
+def equality_axioms(clauses) -> list:
     functions: dict = {}
     predicates: dict = {}
 
@@ -199,9 +204,7 @@ def equality_axioms(clauses, next_origin: int) -> list:
     out = []
 
     def add(lits, count, names, label):
-        nonlocal next_origin
-        out.append(Clause(tuple(lits), origin=next_origin, var_count=count, var_names=tuple(names), label=label))
-        next_origin += 1
+        out.append(Clause(tuple(lits), var_count=count, var_names=tuple(names), label=label))
 
     x, y, z = Var(0), Var(1), Var(2)
     add([eq(x, x)], 1, ["X"], "eq_reflexive")
@@ -232,7 +235,7 @@ def clausify(problem: Problem, options: ClausifyOptions | None = None) -> Matrix
     options = options or ClausifyOptions()
     registry: dict = {}
     clauses: list = []
-    for i, decl in enumerate(problem.declarations):
+    for decl in problem.declarations:
         if isinstance(decl, CnfDecl):
             clauses.append(decl.clause)
             continue
@@ -240,11 +243,11 @@ def clausify(problem: Problem, options: ClausifyOptions | None = None) -> Matrix
         formula = skolemize(nnf(formula), registry)
         for k, literals in enumerate(distribute(formula, options.max_clause_literals)):
             label = decl.name if k == 0 else f"{decl.name}_{k}"
-            clauses.append(_literals_to_clause(literals, origin=i, label=label))
+            clauses.append(number_variables(literals, label))
     if options.add_equality_axioms and any(
         lit.predicate == EQ_PREDICATE for c in clauses for lit in c.literals
     ):
-        clauses.extend(equality_axioms(clauses, next_origin=len(problem.declarations)))
+        clauses.extend(equality_axioms(clauses))
     return Matrix(clauses=tuple(clauses))
 
 

@@ -184,17 +184,12 @@ def run_engine(matrix: Matrix, setup: EngineSetup, problem_name: str,
             problem=problem_name,
             engine="deepening",
             outcome="",
-            solved=isinstance(outcome, Proof),
+            solved=False,
             wall_time=wall,
             total_inferences=result.stats.extension_inferences,
         )
         if isinstance(outcome, Proof):
-            report.outcome = "proof"
-            report.extensions = outcome.final_state.extensions
-            report.reductions = outcome.final_state.reductions
-            verdict = check_proof(matrix, outcome.certificate)
-            report.checker = "accepted" if verdict.accepted else f"rejected: {verdict.reason}"
-            report.certificate = format_certificate(outcome.certificate)
+            _record_proof(report, matrix, outcome.final_state, outcome.certificate)
             report.events = result.events
         elif isinstance(outcome, Saturated):
             report.outcome = "saturated"
@@ -226,14 +221,7 @@ def run_engine(matrix: Matrix, setup: EngineSetup, problem_name: str,
     )
     if isinstance(result.outcome, mcts.Solution):
         final = result.outcome.final_state
-        report.solved = True
-        report.outcome = "proof"
-        report.extensions = final.extensions
-        report.reductions = final.reductions
-        cert = certificate_for(final, matrix)
-        verdict = check_proof(matrix, cert)
-        report.checker = "accepted" if verdict.accepted else f"rejected: {verdict.reason}"
-        report.certificate = format_certificate(cert)
+        _record_proof(report, matrix, final, certificate_for(final, matrix))
     elif isinstance(result.outcome, mcts.Exhausted):
         report.outcome = "exhausted"
     else:
@@ -245,6 +233,17 @@ def run_engine(matrix: Matrix, setup: EngineSetup, problem_name: str,
             report.iterations = None
             report.total_inferences = None
     return report
+
+
+def _record_proof(report: RunReport, matrix: Matrix, final_state, certificate):
+    """Fill `report` with a found proof: its steps, the checker's verdict, the certificate."""
+    report.solved = True
+    report.outcome = "proof"
+    report.extensions = final_state.extensions
+    report.reductions = final_state.reductions
+    verdict = check_proof(matrix, certificate)
+    report.checker = "accepted" if verdict.accepted else f"rejected: {verdict.reason}"
+    report.certificate = format_certificate(certificate)
 
 
 def print_report(report: RunReport):

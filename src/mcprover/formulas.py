@@ -1,25 +1,15 @@
 """First-order formula AST for the fof input subset.
 
-Formula-level terms reuse App from terms.py but use named variables (FVar)
-until clausification assigns clause-local indices.
+The leaves are `terms.Literal`s whose variables are named (`FVar`) until
+clausification numbers them per clause; `a != b` is a negative equality
+literal, and `~` builds a `Not` node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import App, EQ_PREDICATE, _atom_name
-
-
-@dataclass(frozen=True, slots=True)
-class FVar:
-    name: str
-
-
-@dataclass(frozen=True)
-class Atom:
-    predicate: str
-    args: tuple = ()
+from .terms import App, FVar, Literal, literal_to_str
 
 
 @dataclass(frozen=True)
@@ -41,7 +31,7 @@ class Quant:
     body: "Formula"
 
 
-Formula = Atom | Not | Binary | Quant
+Formula = Literal | Not | Binary | Quant
 
 
 def free_vars(f: Formula, bound: frozenset = frozenset()) -> list:
@@ -59,7 +49,7 @@ def free_vars(f: Formula, bound: frozenset = frozenset()) -> list:
                 walk_term(a, bound_here)
 
     def walk(g, bound_here):
-        if isinstance(g, Atom):
+        if isinstance(g, Literal):
             for a in g.args:
                 walk_term(a, bound_here)
         elif isinstance(g, Not):
@@ -84,8 +74,8 @@ def subst_var(f: Formula, name: str, replacement) -> Formula:
             return App(t.functor, tuple(in_term(a) for a in t.args))
         return t
 
-    if isinstance(f, Atom):
-        return Atom(f.predicate, tuple(in_term(a) for a in f.args))
+    if isinstance(f, Literal):
+        return Literal(f.positive, f.predicate, tuple(in_term(a) for a in f.args))
     if isinstance(f, Not):
         return Not(subst_var(f.body, name, replacement))
     if isinstance(f, Binary):
@@ -97,24 +87,10 @@ def subst_var(f: Formula, name: str, replacement) -> Formula:
 
 # --- canonical printing ---------------------------------------------------
 
-def fterm_to_str(t) -> str:
-    if isinstance(t, FVar):
-        return t.name
-    if not t.args:
-        return _atom_name(t.functor)
-    return f"{_atom_name(t.functor)}({','.join(fterm_to_str(a) for a in t.args)})"
-
-
 def formula_to_str(f: Formula) -> str:
-    if isinstance(f, Atom):
-        if f.predicate == EQ_PREDICATE and len(f.args) == 2:
-            return f"{fterm_to_str(f.args[0])} = {fterm_to_str(f.args[1])}"
-        if not f.args:
-            return _atom_name(f.predicate)
-        return f"{_atom_name(f.predicate)}({','.join(fterm_to_str(a) for a in f.args)})"
+    if isinstance(f, Literal):
+        return literal_to_str(f)
     if isinstance(f, Not):
-        if isinstance(f.body, Atom) and f.body.predicate == EQ_PREDICATE and len(f.body.args) == 2:
-            return f"{fterm_to_str(f.body.args[0])} != {fterm_to_str(f.body.args[1])}"
         return "~" + _wrap(f.body)
     if isinstance(f, Binary):
         if f.op in ("&", "|"):

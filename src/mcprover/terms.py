@@ -1,9 +1,11 @@
 """First-order clausal syntax: terms, literals, clauses and the clause matrix.
 
-Variables are plain integers scoped to a namespace: input clauses index their
-variables 0..k-1 in order of first occurrence, and search-time clause copies
-are renamed by offsetting those indices into a per-search counter. Constants
-are zero-arity applications.
+Variables in a clause are integers (`Var`) scoped to a namespace: input
+clauses index their variables 0..k-1 in order of first occurrence, and
+search-time clause copies are renamed by offsetting those indices into a
+per-search counter. Before that numbering, parsed literals and the leaves of
+fof formulas hold named variables (`FVar`). Constants are zero-arity
+applications.
 """
 
 from __future__ import annotations
@@ -21,12 +23,17 @@ class Var:
 
 
 @dataclass(frozen=True, slots=True)
+class FVar:
+    name: str
+
+
+@dataclass(frozen=True, slots=True)
 class App:
     functor: str
     args: tuple = ()
 
 
-Term = Var | App
+Term = Var | FVar | App
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,7 +60,6 @@ NEG_TOP = Literal(False, TOP_PREDICATE)
 @dataclass(frozen=True)
 class Clause:
     literals: tuple
-    origin: int = -1
     var_count: int = 0
     var_names: tuple = ()
     label: str = ""
@@ -66,7 +72,29 @@ class Clause:
 
 
 # Pseudo-clause holding the synthetic goal every derivation starts from.
-START_CLAUSE = Clause((TOP,), origin=-1, label="start")
+START_CLAUSE = Clause((TOP,), label="start")
+
+
+def number_variables(literals, label: str = "") -> Clause:
+    """The clause of `literals`, its named variables numbered by first occurrence."""
+    names: dict = {}
+
+    def number(t):
+        if isinstance(t, FVar):
+            if t.name not in names:
+                names[t.name] = Var(len(names))
+            return names[t.name]
+        if not isinstance(t, App) or not t.args:
+            return t
+        args = []
+        for a in t.args:
+            args.append(number(a))
+        return App(t.functor, tuple(args))
+
+    lits = tuple(
+        Literal(lit.positive, lit.predicate, tuple([number(a) for a in lit.args])) for lit in literals
+    )
+    return Clause(lits, var_count=len(names), var_names=tuple(names), label=label)
 
 
 def rename_term(t: Term, offset: int) -> Term:
@@ -127,14 +155,27 @@ def _atom_name(name: str) -> str:
 
 
 def term_to_str(t: Term, var_names: tuple = ()) -> str:
-    if isinstance(t, Var):
-        if t.id < len(var_names):
-            return var_names[t.id]
-        return f"_{t.id}"
-    if not t.args:
-        return _atom_name(t.functor)
-    args = ",".join(term_to_str(a, var_names) for a in t.args)
-    return f"{_atom_name(t.functor)}({args})"
+    """`t` in TPTP syntax, walked with an explicit stack so any depth prints."""
+    parts = []
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, str):
+            parts.append(t)
+        elif isinstance(t, Var):
+            parts.append(var_names[t.id] if t.id < len(var_names) else f"_{t.id}")
+        elif isinstance(t, FVar):
+            parts.append(t.name)
+        elif not t.args:
+            parts.append(_atom_name(t.functor))
+        else:
+            parts.append(_atom_name(t.functor) + "(")
+            stack.append(")")
+            for i in range(len(t.args) - 1, -1, -1):
+                stack.append(t.args[i])
+                if i:
+                    stack.append(",")
+    return "".join(parts)
 
 
 def literal_to_str(lit: Literal, var_names: tuple = ()) -> str:

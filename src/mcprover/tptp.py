@@ -3,15 +3,21 @@
 Supported: cnf clauses, fof formulas over ~ & | => <= <=> <~> with ! / ?
 quantifiers, infix = and !=, include directives, %- and /* */-comments.
 Conjectures are negated on clausification per the usual refutation setup.
+
+cnf and fof share one term and atom grammar: an atom is a `terms.Literal`
+over named variables, and `a != b` is a negative equality literal. A cnf
+clause has its variables numbered as soon as it is read; a fof formula keeps
+them named until clausification.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .formulas import Atom, Binary, FVar, Formula, Not, Quant, formula_to_str, free_vars
-from .terms import App, Clause, EQ_PREDICATE, Literal, Var, clause_to_str
+from .formulas import Binary, Formula, Not, Quant, formula_to_str, free_vars
+from .terms import App, Clause, EQ_PREDICATE, FVar, Literal, clause_to_str, number_variables
 
 
 class ParseError(Exception):
@@ -46,8 +52,7 @@ _PUNCT2 = ("<=>", "<~>", "=>", "<=", "!=")
 _PUNCT1 = "()[],.:~&|!?="
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # word | var | punct | end
     text: str
     line: int
@@ -99,23 +104,16 @@ def _tokenize(text: str):
             col += j + 1 - i
             i = j + 1
             continue
-        matched = False
-        for op in _PUNCT2:
-            if text.startswith(op, i):
-                tokens.append(_Token("punct", op, start_line, start_col))
-                i += len(op)
-                col += len(op)
-                matched = True
-                break
-        if matched:
-            continue
-        if c in _PUNCT1:
-            tokens.append(_Token("punct", c, start_line, start_col))
-            i += 1
-            col += 1
+        op = c if c in _PUNCT1 else ""
+        if c in "<=!":  # the first characters of the _PUNCT2 operators
+            op = next((op2 for op2 in _PUNCT2 if text.startswith(op2, i)), op)
+        if op:
+            tokens.append(_Token("punct", op, start_line, start_col))
+            i += len(op)
+            col += len(op)
             continue
         if c.isalpha() or c == "_" or c == "$" or c.isdigit():
-            j = i + 1 if c != "$" else i + 1
+            j = i + 1
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             word = text[i:j]
@@ -187,8 +185,7 @@ class _Parser:
             raise ParseError("expected formula role", role.line, role.col)
         self.expect(",")
         if lang == "cnf":
-            clause = self.cnf_clause()
-            decl: CnfDecl | FofDecl = CnfDecl(name.text, role.text, clause)
+            decl: CnfDecl | FofDecl = CnfDecl(name.text, role.text, self.cnf_clause(name.text))
         else:
             decl = FofDecl(name.text, role.text, self.formula())
         self.expect(")")
@@ -197,58 +194,52 @@ class _Parser:
 
     # cnf
 
-    def cnf_clause(self) -> Clause:
-        names: dict = {}
-        var_names: list = []
-
-        def var_of(tok: _Token) -> Var:
-            if tok.text not in names:
-                names[tok.text] = len(var_names)
-                var_names.append(tok.text)
-            return Var(names[tok.text])
-
+    def cnf_clause(self, label: str) -> Clause:
         wrapped = False
         if self.peek().text == "(":
             self.next()
             wrapped = True
-        literals = [self.cnf_literal(var_of)]
+        literals = [self.cnf_literal()]
         while self.peek().text == "|":
             self.next()
-            literals.append(self.cnf_literal(var_of))
+            literals.append(self.cnf_literal())
         if wrapped:
             self.expect(")")
-        return Clause(tuple(literals), var_count=len(var_names), var_names=tuple(var_names))
+        return number_variables(literals, label)
 
-    def cnf_literal(self, var_of) -> Literal:
+    def cnf_literal(self) -> Literal:
         positive = True
         while self.peek().text == "~":
             self.next()
             positive = not positive
-        term = self.term(var_of)
+        atom = self.atom()
+        return atom if positive else atom.complement()
+
+    # atoms and terms
+
+    def atom(self) -> Literal:
+        term = self.term()
         nxt = self.peek()
         if nxt.text in ("=", "!="):
             self.next()
-            rhs = self.term(var_of)
-            if nxt.text == "!=":
-                positive = not positive
-            return Literal(positive, EQ_PREDICATE, (term, rhs))
-        if isinstance(term, Var):
-            raise ParseError("a variable is not a literal", nxt.line, nxt.col)
-        return Literal(positive, term.functor, term.args)
+            return Literal(nxt.text == "=", EQ_PREDICATE, (term, self.term()))
+        if isinstance(term, FVar):
+            raise ParseError("a variable is not an atom", nxt.line, nxt.col)
+        return Literal(True, term.functor, term.args)
 
-    def term(self, var_of):
+    def term(self):
         tok = self.next()
         if tok.kind == "var":
-            return var_of(tok)
+            return FVar(tok.text)
         if tok.kind != "word":
             raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.col)
         args: tuple = ()
         if self.peek().text == "(":
             self.next()
-            parts = [self.term(var_of)]
+            parts = [self.term()]
             while self.peek().text == ",":
                 self.next()
-                parts.append(self.term(var_of))
+                parts.append(self.term())
             self.expect(")")
             args = tuple(parts)
         return App(tok.text, args)
@@ -307,35 +298,6 @@ class _Parser:
             raise ParseError("expected a variable", tok.line, tok.col)
         return tok.text
 
-    def atom(self) -> Formula:
-        term = self.fterm()
-        nxt = self.peek()
-        if nxt.text in ("=", "!="):
-            self.next()
-            rhs = self.fterm()
-            atom = Atom(EQ_PREDICATE, (term, rhs))
-            return Not(atom) if nxt.text == "!=" else atom
-        if isinstance(term, FVar):
-            raise ParseError("a variable is not an atom", nxt.line, nxt.col)
-        return Atom(term.functor, term.args)
-
-    def fterm(self):
-        tok = self.next()
-        if tok.kind == "var":
-            return FVar(tok.text)
-        if tok.kind != "word":
-            raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.col)
-        args: tuple = ()
-        if self.peek().text == "(":
-            self.next()
-            parts = [self.fterm()]
-            while self.peek().text == ",":
-                self.next()
-                parts.append(self.fterm())
-            self.expect(")")
-            args = tuple(parts)
-        return App(tok.text, args)
-
 
 # --- entry points -----------------------------------------------------------
 
@@ -343,16 +305,8 @@ def parse_problem(text: str, *, path: str | None = None, include_dirs: tuple = (
     """Parse TPTP text into a Problem, resolving include directives."""
     problem = Problem()
     _parse_into(problem, text, path, tuple(include_dirs), seen=set())
-    for i, decl in enumerate(problem.declarations):
-        if isinstance(decl, CnfDecl):
-            decl.clause = Clause(
-                decl.clause.literals,
-                origin=i,
-                var_count=decl.clause.var_count,
-                var_names=decl.clause.var_names,
-                label=decl.name,
-            )
-        else:
+    for decl in problem.declarations:
+        if isinstance(decl, FofDecl):
             unbound = free_vars(decl.formula)
             if unbound:
                 raise ParseError(f"formula {decl.name!r} has free variables: {', '.join(unbound)}")

@@ -135,9 +135,6 @@ class Store:
         for event in events:
             self.record(event.key, event.success)
 
-    def merged(self, other: "Store") -> "Store":
-        return merge_stores(self, other)
-
     def persist(self, path: str):
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(self.dumps())

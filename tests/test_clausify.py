@@ -36,6 +36,14 @@ def test_skolem_function_gets_scope_arguments():
     assert len(sk_term.args) == 1  # depends on X only
 
 
+def test_universal_binders_sharing_a_name_stay_distinct():
+    m = clausify_text("fof(a, axiom, (! [X] : p(X)) | (! [X] : q(X))).")
+    assert clause_to_str(m.clauses[0]) == "p(X) | q(X_1)"
+    # the fresh name skips every name the formula already uses
+    m = clausify_text("fof(a, axiom, (! [X] : p(X)) | (! [X] : (? [X_1] : q(X, X_1)))).")
+    assert clause_to_str(m.clauses[0]).startswith("p(X) | q(X_2,sk_")
+
+
 def test_conjecture_negated():
     m = clausify_text("fof(goal, conjecture, p).")
     assert clause_to_str(m.clauses[0]) == "~p"
@@ -64,10 +72,10 @@ def test_equivalence_expansion():
     assert rendered == {"~p | q", "~q | p"}
 
 
-def test_origin_recorded_per_declaration():
+def test_label_recorded_per_declaration():
     text = "cnf(c1, axiom, p).\nfof(f, axiom, (q & r)).\n"
     m = clausify_text(text)
-    assert [c.origin for c in m.clauses] == [0, 1, 1]
+    assert [c.label for c in m.clauses] == ["c1", "f", "f_1"]
 
 
 def test_prepare_adds_neg_top_to_positive_clauses():

@@ -68,6 +68,26 @@ def test_prove_parse_error_exits_two(capsys, tmp_path):
     assert "error" in err
 
 
+def test_prove_keeps_shadowed_universal_variables_apart(capsys, tmp_path):
+    problem = tmp_path / "shadowed.p"
+    problem.write_text(
+        "fof(a, axiom, (! [X] : p(X)) | (! [X] : q(X))).\n"
+        "fof(b, axiom, ~p(a)).\nfof(c, axiom, ~q(b)).\n"
+    )
+    code, out, _ = run_cli(capsys, "prove", str(problem))
+    assert code == 0
+    assert "checker    : accepted" in out
+
+
+def test_prove_term_nested_400_deep(capsys, tmp_path):
+    depth = 400
+    problem = tmp_path / "deep.p"
+    problem.write_text(f"cnf(c1, axiom, p({'s(' * depth}c{')' * depth})).\ncnf(c2, axiom, ~p(X)).\n")
+    code, out, _ = run_cli(capsys, "prove", str(problem))
+    assert code == 0
+    assert "checker    : accepted" in out
+
+
 def test_prove_mcts_reports_are_deterministic(capsys):
     args = ("prove", corpus_file("fo_trans.p"), "--engine", "mcts", "--seed", "7")
     code_a, out_a, _ = run_cli(capsys, *args)

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from mcprover.cli import bundled_corpus_dir, load_corpus
 from mcprover.clausify import ClausifyOptions, clausify, load_matrix, prepare_matrix
-from mcprover.terms import matrix_to_cnf
+from mcprover.terms import App, FVar, Var, matrix_to_cnf, term_to_str
 from mcprover.tptp import parse_problem
 
 _LEAVES = st.sampled_from(["X", "Y", "Z", "a", "b"])
@@ -60,3 +60,17 @@ def test_show_text_reparses_to_the_same_matrix(equality_axioms):
         again = prepare_matrix(clausify(parse_problem(text)))
         assert again.digest == matrix.digest, info.name
         assert matrix_to_cnf(again) == text, info.name
+
+
+def test_term_nested_10000_deep_prints():
+    depth = 10000
+    term = Var(0)
+    for _ in range(depth // 2):
+        term = App("f", (App("s", (term,)), App("c")))
+    expected = "f(s(" * (depth // 2) + "X" + "),c)" * (depth // 2)
+    assert term_to_str(term, ("X",)) == expected
+
+
+def test_term_printing_quotes_names_and_keeps_variable_names():
+    term = App("Odd name", (FVar("Y"), Var(0), Var(3), App("a")))
+    assert term_to_str(term, ("X",)) == "'Odd name'(Y,X,_3,a)"

@@ -42,7 +42,7 @@ def test_include_resolution(tmp_path):
 
     problem = load_problem(str(main))
     assert [d.name for d in problem.declarations] == ["a1", "goal"]
-    assert problem.declarations[0].clause.origin == 0
+    assert problem.declarations[0].clause.label == "a1"
 
 
 def test_equality_literals_parse_infix():
@@ -76,7 +76,7 @@ def test_free_variables_rejected():
 def test_negated_equality_in_fof():
     problem = parse_problem("fof(f, axiom, a != b).")
     f = problem.declarations[0].formula
-    assert isinstance(f, Not)
+    assert f == Literal(False, EQ_PREDICATE, (App("a"), App("b")))
 
 
 @pytest.mark.parametrize(
