@@ -87,6 +87,7 @@ def test_negated_equality_in_fof():
         "fof(f, axiom, ! [X] : (p(X) => (? [Y] : q(X,Y)))).\n",
         "fof(f, conjecture, ((p => q) <=> (~q => ~p))).\n",
         "fof(f, axiom, ! [X,Y] : r(X,Y)).\n",
+        "fof(f, axiom, (~a = b & ~~c != d)).\n",
     ],
 )
 def test_print_parse_round_trip(text):
