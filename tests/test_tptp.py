@@ -1,6 +1,6 @@
 import pytest
 
-from mcprover.formulas import Binary, Not, Quant
+from mcprover.formulas import Binary, Quant
 from mcprover.terms import App, EQ_PREDICATE, Literal, Var
 from mcprover.tptp import CnfDecl, FofDecl, ParseError, parse_problem, print_problem
 
