@@ -34,7 +34,7 @@ class Quant:
 Formula = Literal | Not | Binary | Quant
 
 
-def free_vars(f: Formula, bound: frozenset = frozenset()) -> list:
+def free_vars(f: Formula) -> list:
     """Free variable names in order of first occurrence."""
     out: list = []
     seen = set()
@@ -60,7 +60,7 @@ def free_vars(f: Formula, bound: frozenset = frozenset()) -> list:
         else:
             walk(g.body, bound_here | {g.var})
 
-    walk(f, set(bound))
+    walk(f, set())
     return out
 
 
