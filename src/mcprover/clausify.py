@@ -110,45 +110,65 @@ def skolem_name(subformula: Formula, registry: dict) -> str:
     return name
 
 
-def skolemize(f: Formula, registry: dict) -> Formula:
-    """Remove existential quantifiers from an NNF formula, outermost first.
+def rename_apart(f: Formula) -> Formula:
+    """Rename each binder that reuses the name of a universal it can share a clause with.
 
-    A universal binder whose name an earlier one already took is renamed to
-    the first `name_k` that occurs nowhere in the formula, so that distinct
-    variables stay distinct once the quantifiers are dropped.
+    Those universals are the enclosing `!`s and the `!`s on the other side of
+    an enclosing `|`; the two sides of an `&` go to different clauses. The
+    binder gets the first `name_k` used nowhere in `f`. Skolemization needs
+    this first, as a Skolem term carries the enclosing universals into its scope.
     """
-    taken: set = set()
+    used: set = set()
 
-    def walk(g):
+    def walk(g, taken):  # -> (renamed g, taken plus the universals g binds)
         if isinstance(g, Literal):
-            return g
+            return g, taken
         if isinstance(g, Binary):
-            return Binary(g.op, walk(g.left), walk(g.right))
-        if g.kind == "!":
-            var, body = g.var, g.body
-            if var in taken:
-                used = taken | _variable_names(f)
-                k = 1
-                while f"{g.var}_{k}" in used:
-                    k += 1
-                var = f"{g.var}_{k}"
-                body = subst_var(body, g.var, FVar(var))
-            taken.add(var)
-            return Quant("!", var, walk(body))
-        name = skolem_name(g, registry)
-        args = tuple(FVar(v) for v in free_vars(g))
-        return walk(subst_var(g.body, g.var, App(name, args)))
+            left, after = walk(g.left, taken)
+            right, after_right = walk(g.right, taken if g.op == "&" else after)
+            return Binary(g.op, left, right), after | after_right
+        var, body = g.var, g.body
+        if var in taken:
+            if not used:
+                used.update(_variable_names(f))
+            k = 1
+            while f"{g.var}_{k}" in used:
+                k += 1
+            var = f"{g.var}_{k}"
+            used.add(var)
+            body = subst_var(body, g.var, FVar(var))
+        body, after = walk(body, taken | {var} if g.kind == "!" else taken)
+        return Quant(g.kind, var, body), after
 
-    return walk(f)
+    return walk(f, frozenset())[0]
 
 
 def _variable_names(f: Formula) -> set:
     """Every variable name bound or occurring in `f`."""
+    names, stack = set(), [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, Literal):
+            names.update(free_vars(g))
+        elif isinstance(g, Binary):
+            stack += (g.left, g.right)
+        else:
+            names.add(g.var)
+            stack.append(g.body)
+    return names
+
+
+def skolemize(f: Formula, registry: dict) -> Formula:
+    """Remove existential quantifiers from a renamed-apart NNF formula, outermost first."""
     if isinstance(f, Literal):
-        return set(free_vars(f))
+        return f
     if isinstance(f, Binary):
-        return _variable_names(f.left) | _variable_names(f.right)
-    return {f.var} | _variable_names(f.body)
+        return Binary(f.op, skolemize(f.left, registry), skolemize(f.right, registry))
+    if f.kind == "!":
+        return Quant("!", f.var, skolemize(f.body, registry))
+    name = skolem_name(f, registry)
+    args = tuple(FVar(v) for v in free_vars(f))
+    return skolemize(subst_var(f.body, f.var, App(name, args)), registry)
 
 
 # --- CNF distribution -------------------------------------------------------
@@ -240,7 +260,7 @@ def clausify(problem: Problem, options: ClausifyOptions | None = None) -> Matrix
             clauses.append(decl.clause)
             continue
         formula = Not(decl.formula) if decl.role == "conjecture" else decl.formula
-        formula = skolemize(nnf(formula), registry)
+        formula = skolemize(rename_apart(nnf(formula)), registry)
         for k, literals in enumerate(distribute(formula, options.max_clause_literals)):
             label = decl.name if k == 0 else f"{decl.name}_{k}"
             clauses.append(number_variables(literals, label))

@@ -65,7 +65,10 @@ def free_vars(f: Formula) -> list:
 
 
 def subst_var(f: Formula, name: str, replacement) -> Formula:
-    """Replace every free occurrence of variable `name` by a term."""
+    """Replace every free occurrence of variable `name` by a term.
+
+    Not capture-avoiding: no binder in `f` may bind a variable of `replacement`.
+    """
 
     def in_term(t):
         if isinstance(t, FVar):

@@ -44,6 +44,27 @@ def test_universal_binders_sharing_a_name_stay_distinct():
     assert clause_to_str(m.clauses[0]).startswith("p(X) | q(X_2,sk_")
 
 
+def test_sides_of_a_conjunction_may_share_a_variable_name():
+    m = clausify_text("fof(a, axiom, (! [X] : a(X)) & (! [X] : b(X))).")
+    assert [clause_to_str(c) for c in m.clauses] == ["a(X)", "b(X)"]
+    m = clausify_text("fof(a, axiom, ((! [X] : a(X)) & (! [X] : b(X))) | (! [X] : c(X))).")
+    assert [clause_to_str(c) for c in m.clauses] == ["a(X) | c(X_1)", "b(X) | c(X_1)"]
+
+
+def test_renaming_a_shadowing_binder_keeps_skolem_arguments():
+    # sk(X) is substituted under the inner `! [X]`; renaming that binder must
+    # not rename the X that the Skolem term carries from the outer binder.
+    m = clausify_text("fof(f, axiom, ! [X] : ? [Y] : (r(X,Y) & (q(X,Y) | ! [X] : p(X,Y)))).")
+    q, p = m.clauses[1].literals
+    assert clause_to_str(m.clauses[1]) == f"q(X,{q.args[1].functor}(X)) | p(X_1,{q.args[1].functor}(X))"
+    assert p.args[1] == q.args[1]
+    # the same holds under a shadowing `? [X]`, whose Skolem term depends on X
+    m = clausify_text("fof(f, axiom, ! [X] : ? [Y] : (q(X,Y) | ? [X] : p(X,Y))).")
+    q, p = m.clauses[0].literals
+    assert p.args[1] == q.args[1]
+    assert p.args[0].args == q.args[1].args
+
+
 def test_conjecture_negated():
     m = clausify_text("fof(goal, conjecture, p).")
     assert clause_to_str(m.clauses[0]) == "~p"

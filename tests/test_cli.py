@@ -79,6 +79,22 @@ def test_prove_keeps_shadowed_universal_variables_apart(capsys, tmp_path):
     assert "checker    : accepted" in out
 
 
+@pytest.mark.parametrize("inner, e2", [
+    ("! [X] : p(X,Y)", "! [Y] : (r(a,Y) => ~p(a,Y))"),
+    ("? [X] : p(X,Y)", "! [Z,Y] : (r(Z,Y) => ~p(Z,Y))"),
+])
+def test_prove_finds_no_proof_when_an_inner_binder_shadows_a_skolem_argument(capsys, tmp_path, inner, e2):
+    """Satisfiable over {a,b}: r = {(a,a),(b,b)}, q = {(a,a)}, p = {(a,b),(b,b)} for `!`, {(a,b)} for `?`."""
+    problem = tmp_path / "shadowed_skolem.p"
+    problem.write_text(
+        f"fof(f, axiom, ! [X] : ? [Y] : (r(X,Y) & (q(X,Y) | {inner}))).\n"
+        f"fof(e1, axiom, ! [Y] : (r(b,Y) => ~q(b,Y))).\nfof(e2, axiom, {e2}).\n"
+    )
+    code, out, _ = run_cli(capsys, "prove", str(problem))
+    assert code == 1
+    assert "outcome    : proof" not in out
+
+
 def test_prove_term_nested_400_deep(capsys, tmp_path):
     depth = 400
     problem = tmp_path / "deep.p"
