@@ -98,11 +98,29 @@ def number_variables(literals, label: str = "") -> Clause:
 
 
 def rename_term(t: Term, offset: int) -> Term:
+    """`t` with every variable id raised by `offset`, rebuilt with an explicit
+    stack so any depth renames."""
     if isinstance(t, Var):
         return Var(t.id + offset)
     if not t.args:
         return t
-    return App(t.functor, tuple(rename_term(a, offset) for a in t.args))
+    done = []  # renamed subterms, in order
+    stack = [t]  # terms to rename, and (functor, arity) marks that rebuild an App from `done`
+    while stack:
+        u = stack.pop()
+        if type(u) is tuple:
+            functor, n = u
+            args = tuple(done[-n:])
+            del done[-n:]
+            done.append(App(functor, args))
+        elif isinstance(u, Var):
+            done.append(Var(u.id + offset))
+        elif not u.args:
+            done.append(u)
+        else:
+            stack.append((u.functor, len(u.args)))
+            stack.extend(reversed(u.args))
+    return done[0]
 
 
 def rename_literal(lit: Literal, offset: int) -> Literal:

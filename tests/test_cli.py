@@ -104,6 +104,15 @@ def test_prove_term_nested_400_deep(capsys, tmp_path):
     assert "checker    : accepted" in out
 
 
+def test_prove_term_nested_800_deep(capsys, tmp_path):
+    depth = 800
+    problem = tmp_path / "deep.p"
+    problem.write_text(f"cnf(c1, axiom, p({'s(' * depth}c{')' * depth})).\ncnf(c2, axiom, ~p(X)).\n")
+    code, out, _ = run_cli(capsys, "prove", str(problem))
+    assert code == 0
+    assert "checker    : accepted" in out
+
+
 def test_prove_mcts_reports_are_deterministic(capsys):
     args = ("prove", corpus_file("fo_trans.p"), "--engine", "mcts", "--seed", "7")
     code_a, out_a, _ = run_cli(capsys, *args)
