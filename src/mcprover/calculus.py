@@ -11,19 +11,27 @@ mirrors the depth-first goal order of Prolog-style connection provers:
     already proved on this branch.
 
 Goals whose clause became empty are discharged eagerly, so a state is closed
-exactly when its goal stack is empty. States are immutable; successor
-construction never touches the parent, which lets tree searches share them.
+exactly when its goal stack is empty. States are never mutated once built;
+successor construction never touches the parent, which lets tree searches
+share them.
+
+Regularity (no literal repeats one of its path under the substitution) is
+checked without rescanning the path per successor. The substitution only
+grows along a branch, so a path literal that was ground when pushed stays the
+same ground literal below: each goal keeps the fingerprints of those ground
+literals, and its other path literals in a shared cons chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import Literal, Matrix, START_CLAUSE, rename_literal
+from .terms import Literal, Matrix, START_CLAUSE, Var, rename_literal
 from .unification import (
     EMPTY_SUBSTITUTION,
     Substitution,
     literals_equal_under,
+    pairs_equal_under,
     unify_args,
 )
 
@@ -60,7 +68,7 @@ class CalculusOptions:
 DEFAULT_OPTIONS = CalculusOptions()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Goal:
     """One open branch: remaining clause literals, active path, usable lemmas.
 
@@ -68,7 +76,9 @@ class Goal:
     the input matrix (clause_index -1 denotes the synthetic start goal); the
     guidance model and training extraction key statistics by those positions.
     depth counts extension steps below the start goal, i.e. the path length
-    with the synthetic top literal discounted.
+    with the synthetic top literal discounted. ground holds the fingerprints
+    of the path literals that were ground under the substitution when pushed;
+    loose holds the other path literals as a cons chain (literal, rest).
     """
 
     clause: tuple
@@ -77,9 +87,11 @@ class Goal:
     depth: int
     clause_index: int
     literal_indices: tuple
+    ground: tuple
+    loose: tuple | None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ProverState:
     goals: tuple
     sigma: Substitution
@@ -119,6 +131,8 @@ def initial_state(matrix: Matrix) -> ProverState:
         depth=0,
         clause_index=-1,
         literal_indices=(0,),
+        ground=(),
+        loose=None,
     )
     return ProverState(
         goals=(start,),
@@ -136,16 +150,79 @@ def _connect(sigma: Substitution, goal_lit: Literal, target: Literal) -> Substit
     return unify_args(sigma, goal_lit.args, target.args)
 
 
-def _regular(sigma: Substitution, head: Literal, path: tuple) -> bool:
-    """True when the instantiated head does not repeat a literal of its path."""
-    for lit in path:
-        if (
-            lit.positive == head.positive
-            and lit.predicate == head.predicate
-            and literals_equal_under(sigma, head, lit)
-        ):
-            return False
-    return True
+def _fingerprint(sigma: Substitution, lit: Literal) -> int | None:
+    """A hash of `lit` under sigma, or None when a variable of it is unbound.
+
+    Hashes a flat token tuple built by an explicit-stack walk, because the
+    hash of an App recurses through its arguments."""
+    lookup = sigma.lookup
+    tokens = [lit.positive, lit.predicate]
+    stack = list(lit.args)
+    while stack:
+        t = stack.pop()
+        while type(t) is Var:
+            t = lookup(t.id)
+            if t is None:
+                return None
+        tokens.append(t.functor)
+        tokens.append(len(t.args))
+        stack.extend(t.args)
+    return hash(tuple(tokens))
+
+
+def _resolved(sigma: Substitution, args: tuple) -> list:
+    """`args`, each dereferenced under sigma. The substitution of a successor
+    extends sigma, so dereferencing under it can go on from these terms."""
+    lookup = sigma.lookup
+    out = []
+    for t in args:
+        while type(t) is Var:
+            bound = lookup(t.id)
+            if bound is None:
+                break
+            t = bound
+        out.append(t)
+    return out
+
+
+def _repeats(sigma: Substitution, head_args: list, arg_lists: list) -> bool:
+    """True when the arguments of some literal in `arg_lists` equal the head's
+    under sigma; the literals have the head's sign, predicate and arity."""
+    resolved = _resolved(sigma, head_args)
+    lookup = sigma.lookup
+    for args in arg_lists:
+        pairs = []
+        for h, t in zip(resolved, args):
+            while type(t) is Var:
+                bound = lookup(t.id)
+                if bound is None:
+                    break
+                t = bound
+            if h is t:
+                continue
+            if type(h) is Var or type(t) is Var:
+                if type(h) is type(t) and h.id == t.id:
+                    continue
+                break
+            if h.functor != t.functor or len(h.args) != len(t.args):
+                break
+            pairs.extend(zip(h.args, t.args))
+        else:
+            if not pairs or pairs_equal_under(sigma, pairs):
+                return True
+    return False
+
+
+def _matching(lits, head: Literal) -> list:
+    """The literals of `lits` with the head's sign, predicate and arity."""
+    pred, pos, n = head.predicate, head.positive, len(head.args)
+    return [lit for lit in lits if lit.predicate == pred and lit.positive == pos and len(lit.args) == n]
+
+
+def _loose_literals(chain):
+    while chain is not None:
+        yield chain[0]
+        chain = chain[1]
 
 
 def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DEFAULT_OPTIONS):
@@ -167,7 +244,8 @@ def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DE
         if not rest:
             return below
         lemmas = goal.lemmas + (extra_lemma,) if extra_lemma is not None else goal.lemmas
-        kept = Goal(rest, goal.path, lemmas, goal.depth, goal.clause_index, goal.literal_indices[1:])
+        kept = Goal(rest, goal.path, lemmas, goal.depth, goal.clause_index, goal.literal_indices[1:],
+                    goal.ground, goal.loose)
         return below + (kept,)
 
     if options.lemmas:
@@ -178,20 +256,25 @@ def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DE
                 and literals_equal_under(sigma, head, lemma)
             ):
                 action = LemmaStep(gi, k)
-                out.append(
-                    (
-                        action,
-                        ProverState(
-                            goals=retained(),
-                            sigma=sigma,
-                            fresh_var=state.fresh_var,
-                            extensions=state.extensions,
-                            reductions=state.reductions,
-                            trail=(action, state.trail),
-                        ),
-                    )
-                )
+                out.append((action, ProverState(retained(), sigma, state.fresh_var, state.extensions,
+                                                state.reductions, (action, state.trail))))
                 break
+
+    # path literals a successor's head must not repeat; only they are compared
+    # per successor. A ground head is the same literal under every successor's
+    # substitution, so one fingerprint settles the ground part of the path.
+    check = ()
+    key = None
+    if options.regularity:
+        same = _matching(goal.path, head)
+        if same:
+            head_args = _resolved(sigma, head.args)
+            key = _fingerprint(sigma, head)
+            if key is not None:
+                if key in goal.ground and _repeats(sigma, head_args, [_resolved(sigma, lit.args) for lit in same]):
+                    return out
+                same = _matching(_loose_literals(goal.loose), head)
+            check = [_resolved(sigma, lit.args) for lit in same]
 
     head_pred = head.predicate
     head_pos = head.positive
@@ -201,64 +284,44 @@ def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DE
         sigma2 = unify_args(sigma, head.args, path_lit.args)
         if sigma2 is None:
             continue
-        if options.regularity and not _regular(sigma2, head, goal.path):
+        if check and _repeats(sigma2, head_args, check):
             continue
         action = Reduction(gi, k)
-        out.append(
-            (
-                action,
-                ProverState(
-                    goals=retained(),
-                    sigma=sigma2,
-                    fresh_var=state.fresh_var,
-                    extensions=state.extensions,
-                    reductions=state.reductions + 1,
-                    trail=(action, state.trail),
-                ),
-            )
-        )
+        out.append((action, ProverState(retained(), sigma2, state.fresh_var, state.extensions,
+                                        state.reductions + 1, (action, state.trail))))
 
     if options.depth_bound is not None and goal.depth >= options.depth_bound:
         return out
 
-    for ci, li in matrix.candidates(head.predicate, head.positive):
+    path = goal.path + (head,)
+    if key is not None:
+        ground, loose = goal.ground + (key,), goal.loose
+    else:
+        ground, loose = goal.ground, (head, goal.loose)
+    depth = goal.depth + (0 if head.is_top() else 1)
+    for ci, li in matrix.candidates(head_pred, head_pos):
         clause = matrix.clauses[ci]
         offset = state.fresh_var
-        target = rename_literal(clause.literals[li], offset)
+        if clause.var_count:
+            target = rename_literal(clause.literals[li], offset)
+        else:
+            target = clause.literals[li]
         sigma2 = _connect(sigma, head, target)
         if sigma2 is None:
             continue
-        if options.regularity and not _regular(sigma2, head, goal.path):
+        if check and _repeats(sigma2, head_args, check):
             continue
-        new_lits = tuple(
-            rename_literal(lit, offset) for j, lit in enumerate(clause.literals) if j != li
-        )
+        if clause.var_count:
+            new_lits = tuple(rename_literal(lit, offset) for j, lit in enumerate(clause.literals) if j != li)
+        else:
+            new_lits = clause.literals[:li] + clause.literals[li + 1:]
         new_goals = retained(extra_lemma=head)
         if new_lits:
-            new_goals = new_goals + (
-                Goal(
-                    clause=new_lits,
-                    path=goal.path + (head,),
-                    lemmas=goal.lemmas,
-                    depth=goal.depth + (0 if head.is_top() else 1),
-                    clause_index=ci,
-                    literal_indices=tuple(j for j in range(len(clause.literals)) if j != li),
-                ),
-            )
+            indices = tuple(j for j in range(len(clause.literals)) if j != li)
+            new_goals = new_goals + (Goal(new_lits, path, goal.lemmas, depth, ci, indices, ground, loose),)
         action = Extension(gi, ci, li)
-        out.append(
-            (
-                action,
-                ProverState(
-                    goals=new_goals,
-                    sigma=sigma2,
-                    fresh_var=state.fresh_var + clause.var_count,
-                    extensions=state.extensions + 1,
-                    reductions=state.reductions,
-                    trail=(action, state.trail),
-                ),
-            )
-        )
+        out.append((action, ProverState(new_goals, sigma2, offset + clause.var_count, state.extensions + 1,
+                                        state.reductions, (action, state.trail))))
     return out
 
 

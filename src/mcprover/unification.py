@@ -129,7 +129,9 @@ def resolve_literal(sigma: Substitution, lit: Literal) -> Literal:
     return Literal(lit.positive, lit.predicate, tuple(resolve_term(sigma, a) for a in lit.args))
 
 
-def _pairs_equal_under(sigma: Substitution, stack: list) -> bool:
+def pairs_equal_under(sigma: Substitution, stack: list) -> bool:
+    """Whether each (x, y) pair of `stack` is structurally equal modulo the
+    substitution; consumes `stack`."""
     lookup = sigma.lookup
     while stack:
         x, y = stack.pop()
@@ -157,7 +159,7 @@ def _pairs_equal_under(sigma: Substitution, stack: list) -> bool:
 
 def terms_equal_under(sigma: Substitution, a: Term, b: Term) -> bool:
     """Structural equality of two terms modulo the substitution."""
-    return _pairs_equal_under(sigma, [(a, b)])
+    return pairs_equal_under(sigma, [(a, b)])
 
 
 def literals_equal_under(sigma: Substitution, a: Literal, b: Literal) -> bool:
@@ -165,4 +167,4 @@ def literals_equal_under(sigma: Substitution, a: Literal, b: Literal) -> bool:
         return False
     if not a.args:
         return True
-    return _pairs_equal_under(sigma, list(zip(a.args, b.args)))
+    return pairs_equal_under(sigma, list(zip(a.args, b.args)))

@@ -1,6 +1,10 @@
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import matrix_of
+from mcprover import calculus
 from mcprover.calculus import (
     CalculusOptions,
     Extension,
@@ -9,7 +13,10 @@ from mcprover.calculus import (
     initial_state,
     successors,
 )
-from mcprover.terms import Literal, TOP, Var
+from mcprover.clausify import load_matrix, prepare_matrix
+from mcprover.cli import bundled_corpus_dir
+from mcprover.terms import App, Clause, Literal, Matrix, TOP, Var
+from mcprover.unification import literals_equal_under
 
 
 def all_descendants(state, matrix, options=CalculusOptions(), limit=2000):
@@ -173,3 +180,146 @@ def test_depth_bound_blocks_extensions():
     # q sits at depth 1 now; bound 1 forbids extending it
     assert successors(s, m, CalculusOptions(depth_bound=1)) == []
     assert successors(s, m, CalculusOptions(depth_bound=2)) != []
+
+
+# --- regularity against the full-path scan ---------------------------------
+
+
+def reference_successors(state, matrix, options):
+    """`successors` filtered by comparing the head with every path literal
+    under the successor's substitution."""
+    unfiltered = successors(state, matrix, replace(options, regularity=False))
+    if not options.regularity:
+        return unfiltered
+    goal = state.goals[-1]
+    head = goal.clause[0]
+    return [
+        (action, succ)
+        for action, succ in unfiltered
+        if isinstance(action, LemmaStep)
+        or not any(literals_equal_under(succ.sigma, head, lit) for lit in goal.path)
+    ]
+
+
+def shape(pairs):
+    """What a successor list determines, without the regularity index."""
+    return [
+        (
+            action,
+            succ.fresh_var,
+            succ.extensions,
+            succ.reductions,
+            dict(succ.sigma.items()),
+            [(g.clause, g.path, g.lemmas, g.depth, g.clause_index, g.literal_indices) for g in succ.goals],
+        )
+        for action, succ in pairs
+    ]
+
+
+def loose_literals(goal):
+    out = []
+    chain = goal.loose
+    while chain is not None:
+        out.append(chain[0])
+        chain = chain[1]
+    return out
+
+
+_LEAVES = st.sampled_from(["X", "Y", "a", "b"])
+
+
+def _terms(depth):
+    if depth == 0:
+        return _LEAVES
+    inner = _terms(depth - 1)
+    return st.one_of(_LEAVES, st.builds("f({})".format, inner), st.builds("g({},{})".format, inner, inner))
+
+
+_TERM = _terms(2)
+_ATOM = st.one_of(st.just("r"), st.builds("p({})".format, _TERM), st.builds("q({},{})".format, _TERM, _TERM))
+_LITERAL = st.builds(lambda negated, atom: "~" * negated + atom, st.booleans(), _ATOM)
+_CLAUSE = st.lists(_LITERAL, min_size=1, max_size=3).map(" | ".join)
+_PROBLEM = st.builds(
+    lambda start, others: "".join(f"cnf(c{i}, axiom, {c}).\n" for i, c in enumerate([start, *others])),
+    st.lists(_ATOM, min_size=1, max_size=3).map(" | ".join),
+    st.lists(_CLAUSE, min_size=1, max_size=5),
+)
+
+
+@pytest.mark.parametrize("explore_regular", [True, False])
+@settings(max_examples=150, deadline=None)
+@given(_PROBLEM)
+def test_regularity_matches_full_path_scan(explore_regular, problem):
+    """At every state reached, with the regularity-pruned relation or the
+    unpruned one, both options give the reference's successors."""
+    m = matrix_of(problem)
+    regular = CalculusOptions(regularity=True)
+    explore = regular if explore_regular else CalculusOptions(regularity=False)
+    for state in all_descendants(initial_state(m), m, explore, limit=150):
+        for goal in state.goals:
+            assert len(goal.ground) + len(loose_literals(goal)) == len(goal.path)
+        if state.is_closed:
+            continue
+        for options in (regular, CalculusOptions(regularity=False)):
+            assert shape(successors(state, m, options)) == shape(reference_successors(state, m, options))
+
+
+def test_head_ground_only_under_the_successor_substitution_is_pruned():
+    m = matrix_of(
+        "cnf(c1, axiom, p(b)).\n"
+        "cnf(c2, axiom, ~p(b) | p(a)).\n"
+        "cnf(c3, axiom, ~p(a) | p(X) | q(X)).\n"
+        "cnf(c4, axiom, ~p(c)).\n"
+    )
+    s = initial_state(m)
+    _, s = successors(s, m)[0]  # top -> p(b)
+    _, s = successors(s, m)[0]  # p(b) -> c2, goal p(a)
+    (_, s), = [x for x in successors(s, m) if x[0].clause == 2]  # p(a) -> c3, goal p(X) | q(X)
+    goal = s.goals[-1]
+    # p(a) met p(b) on its path, so it was pushed as ground
+    assert loose_literals(goal) == [Literal(True, "p", (App("b"),)), TOP]
+    assert len(goal.ground) == 1
+    # p(X) becomes p(b) through c2 and p(a) through c3, repeating the path; only c4 stays
+    assert [a for a, _ in successors(s, m)] == [Extension(0, 3, 0)]
+    unpruned = [a.clause for a, _ in successors(s, m, CalculusOptions(regularity=False))]
+    assert unpruned == [1, 2, 3]
+
+
+def test_colliding_fingerprints_change_no_successor_list(monkeypatch):
+    """With every fingerprint equal, each index hit goes through the equality
+    check, so the explored states and their successors stay the same."""
+    names = ("sat_chain", "hard_maze14", "fo_func_chain3", "fof_pel17")
+    matrices = [load_matrix(f"{bundled_corpus_dir()}/{name}.p") for name in names]
+
+    def actions_seen():
+        return [
+            [a for a, _ in successors(state, m)]
+            for m in matrices
+            for state in all_descendants(initial_state(m), m, limit=100)
+            if not state.is_closed
+        ]
+
+    expected = actions_seen()
+    monkeypatch.setattr(calculus, "hash", lambda _: 0, raising=False)
+    assert actions_seen() == expected
+
+
+def test_ground_path_term_2000_deep():
+    def tower(leaf):
+        t = App(leaf)
+        for _ in range(2000):
+            t = App("f", (t,))
+        return t
+
+    deep_a, deep_b = tower("a"), tower("b")
+    m = prepare_matrix(Matrix(clauses=(
+        Clause((Literal(True, "p", (deep_a,)),)),
+        Clause((Literal(False, "p", (deep_a,)), Literal(True, "p", (deep_b,)))),
+        Clause((Literal(False, "p", (deep_b,)), Literal(True, "p", (deep_b,)))),
+    )))
+    s = initial_state(m)
+    _, s = successors(s, m)[0]  # top -> p(A)
+    _, s = successors(s, m)[0]  # p(A) -> c2, goal p(B)
+    (_, s), = successors(s, m)  # p(B) -> c3 differs from p(A) only at the bottom
+    assert len(s.goals[-1].ground) == 1
+    assert successors(s, m) == []  # p(B) repeats the ground p(B) of its path
