@@ -35,9 +35,9 @@ PROVE_CONFIGS = {
 }
 TRAIN_ARGS = ["--max-inferences", "150000", "--timeout", "0"]
 TRAIN_CONFIGS = {"corpus": [], "cut": ["--cut"]}
-# Left out of the train digests only: deepening spends minutes on sat_chain's
-# 150000 training inferences, and it is never solved, so leaving it out changes
-# no model entry
+# Left out of the train digests only: deepening spends about 30 s (2-core host)
+# on sat_chain's 150000 training inferences per run, and it is never solved, so
+# leaving it out changes no model entry
 SKIPPED = {"sat_chain"}
 SHOW_CONFIGS = {"show": [], "show-eq": ["--equality-axioms"]}
 HELP_COMMANDS = ("prove", "train", "bench")
