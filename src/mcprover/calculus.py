@@ -19,7 +19,8 @@ Regularity (no literal repeats one of its path under the substitution) is
 checked without rescanning the path per successor. The substitution only
 grows along a branch, so a path literal that was ground when pushed stays the
 same ground literal below: each goal keeps the fingerprints of those ground
-literals, and its other path literals in a shared cons chain.
+literals (unless one is too large to fingerprint), and its other path
+literals in a shared cons chain.
 """
 
 from __future__ import annotations
@@ -77,8 +78,9 @@ class Goal:
     guidance model and training extraction key statistics by those positions.
     depth counts extension steps below the start goal, i.e. the path length
     with the synthetic top literal discounted. ground holds the fingerprints
-    of the path literals that were ground under the substitution when pushed;
-    loose holds the other path literals as a cons chain (literal, rest).
+    of the path literals that were ground under the substitution when pushed
+    and had one (see _fingerprint); loose holds the other path literals as a
+    cons chain (literal, rest).
     """
 
     clause: tuple
@@ -150,8 +152,15 @@ def _connect(sigma: Substitution, goal_lit: Literal, target: Literal) -> Substit
     return unify_args(sigma, goal_lit.args, target.args)
 
 
+# A head whose walk passes this many tokens is left out of the index and
+# compared directly. Bindings that share a variable make a DAG whose unfolding
+# doubles per binding, so an unbounded walk could take exponential time.
+_FINGERPRINT_TOKENS = 1 << 14
+
+
 def _fingerprint(sigma: Substitution, lit: Literal) -> int | None:
-    """A hash of `lit` under sigma, or None when a variable of it is unbound.
+    """A hash of `lit` under sigma, or None when a variable of it is unbound
+    or the literal unfolds past _FINGERPRINT_TOKENS.
 
     Hashes a flat token tuple built by an explicit-stack walk, because the
     hash of an App recurses through its arguments."""
@@ -166,6 +175,8 @@ def _fingerprint(sigma: Substitution, lit: Literal) -> int | None:
                 return None
         tokens.append(t.functor)
         tokens.append(len(t.args))
+        if len(tokens) > _FINGERPRINT_TOKENS:
+            return None
         stack.extend(t.args)
     return hash(tuple(tokens))
 

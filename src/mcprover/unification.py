@@ -79,17 +79,29 @@ def unify_args(sigma: Substitution, xs: tuple, ys: tuple) -> Substitution | None
         return t
 
     def occurs(var_id, t) -> bool:
+        # a compound with several arguments is walked once: bindings that
+        # share a variable make a DAG whose unfolding can be exponential
         stack = [t]
+        seen = None
         while stack:
             u = walk(stack.pop())
             if isinstance(u, Var):
                 if u.id == var_id:
                     return True
-            else:
-                stack.extend(u.args)
+                continue
+            if len(u.args) > 1:
+                if seen is None:
+                    seen = set()
+                elif id(u) in seen:
+                    continue
+                seen.add(id(u))
+            stack.extend(u.args)
         return False
 
     stack = list(zip(xs, ys))
+    # (id, id) of the pairs of compounds with several arguments whose
+    # arguments are stacked, so that shared bindings are not unfolded
+    pushed = None
     while stack:
         a, b = stack.pop()
         a = walk(a)
@@ -109,6 +121,13 @@ def unify_args(sigma: Substitution, xs: tuple, ys: tuple) -> Substitution | None
         else:
             if a.functor != b.functor or len(a.args) != len(b.args):
                 return None
+            if len(a.args) > 1:
+                pair = (id(a), id(b))
+                if pushed is None:
+                    pushed = set()
+                elif pair in pushed:
+                    continue
+                pushed.add(pair)
             stack.extend(zip(a.args, b.args))
     if not new:
         return sigma
@@ -131,8 +150,11 @@ def resolve_literal(sigma: Substitution, lit: Literal) -> Literal:
 
 def pairs_equal_under(sigma: Substitution, stack: list) -> bool:
     """Whether each (x, y) pair of `stack` is structurally equal modulo the
-    substitution; consumes `stack`."""
+    substitution; consumes `stack`. A pair of compounds with several
+    arguments is expanded once, so terms that share bound variables are not
+    compared along their (possibly exponential) unfolding."""
     lookup = sigma.lookup
+    pushed = None
     while stack:
         x, y = stack.pop()
         while type(x) is Var:
@@ -153,6 +175,13 @@ def pairs_equal_under(sigma: Substitution, stack: list) -> bool:
         elif x.functor != y.functor or len(x.args) != len(y.args):
             return False
         else:
+            if len(x.args) > 1:
+                pair = (id(x), id(y))
+                if pushed is None:
+                    pushed = set()
+                elif pair in pushed:
+                    continue
+                pushed.add(pair)
             stack.extend(zip(x.args, y.args))
     return True
 

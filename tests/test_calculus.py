@@ -323,3 +323,25 @@ def test_ground_path_term_2000_deep():
     (_, s), = successors(s, m)  # p(B) -> c3 differs from p(A) only at the bottom
     assert len(s.goals[-1].ground) == 1
     assert successors(s, m) == []  # p(B) repeats the ground p(B) of its path
+
+
+def test_head_unfolding_to_a_huge_term_is_compared_directly():
+    """Along c1 the head p(g(X,X)) doubles its unfolded size per step, past
+    what a fingerprint walks; such heads stay loose and regularity still
+    matches the full-path scan."""
+    m = matrix_of(
+        "cnf(c0, axiom, p(a)).\n"
+        "cnf(c1, axiom, ~p(X) | p(g(X,X))).\n"
+        "cnf(c2, axiom, ~p(X) | p(X)).\n"
+    )
+    s = initial_state(m)
+    _, s = successors(s, m)[0]  # top -> p(a)
+    for _ in range(60):
+        succ = successors(s, m)
+        assert [a.clause for a, _ in succ] == [1, 2]
+        assert shape(succ) == shape(reference_successors(s, m, CalculusOptions()))
+        (_, s), (_, repeat) = succ
+        assert successors(repeat, m) == []  # p(X) with X bound to the head repeats the path
+        goal = s.goals[-1]
+        assert len(goal.ground) + len(loose_literals(goal)) == len(goal.path)
+    assert len(s.goals[-1].ground) < 20

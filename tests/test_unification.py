@@ -202,3 +202,38 @@ def test_reference_unifier_fixed_occurs_cases():
     for s, t in cases:
         assert unify(EMPTY_SUBSTITUTION, s, t) is None
         assert ref_unify(s, t) is None
+
+
+# --- bindings that share variables -------------------------------------------
+
+def doubling_bindings(first, n, leaf):
+    """Bindings first+i -> g(first+i-1, first+i-1) for i = 1..n, and `first`
+    bound to `leaf` unless it is None: the term of variable first+n unfolds
+    to 2**n copies of the leaf."""
+    bindings = {first + i: App("g", (Var(first + i - 1), Var(first + i - 1))) for i in range(1, n + 1)}
+    if leaf is not None:
+        bindings[first] = leaf
+    return bindings
+
+
+def test_occurs_check_walks_a_shared_binding_once():
+    sigma = EMPTY_SUBSTITUTION.extended(doubling_bindings(0, 60, None))
+    assert unify(sigma, Var(0), App("f", (Var(60),))) is None
+    bound = unify(sigma, Var(100), App("f", (Var(60),)))
+    assert bound is not None and bound.lookup(100) == App("f", (Var(60),))
+
+
+def test_equal_shared_terms_unify_and_compare_in_dag_time():
+    sigma = EMPTY_SUBSTITUTION.extended({
+        **doubling_bindings(0, 60, App("a")),
+        **doubling_bindings(100, 60, App("a")),
+        **doubling_bindings(200, 60, App("b")),
+        **doubling_bindings(300, 60, None),
+    })
+    assert unify(sigma, Var(60), Var(160)) is sigma
+    assert terms_equal_under(sigma, Var(60), Var(160))
+    assert unify(sigma, Var(60), Var(260)) is None
+    assert not terms_equal_under(sigma, Var(60), Var(260))
+    bound = unify(sigma, Var(360), Var(60))
+    assert bound is not None and bound.lookup(300) == App("a")
+    assert not terms_equal_under(sigma, Var(360), Var(60))
