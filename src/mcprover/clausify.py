@@ -25,9 +25,15 @@ from .terms import (
     build_extension_index,
     matrix_digest,
     number_variables,
+    subterms,
+    term_text,
 )
 from .tptp import CnfDecl, Problem
 from .trainstore import fnv64
+
+
+# CNF distribution refuses a formula whose clauses would hold more literals
+MAX_CLAUSE_LITERALS = 4096
 
 
 class ClausifyError(Exception):
@@ -37,7 +43,6 @@ class ClausifyError(Exception):
 @dataclass
 class ClausifyOptions:
     add_equality_axioms: bool = False
-    max_clause_literals: int = 4096
 
 
 def nnf(f: Formula, sign: bool = True) -> Formula:
@@ -74,15 +79,12 @@ def _canonical_formula(f: Formula) -> str:
     free_order: dict = {}
 
     def term(t, bound):
-        if isinstance(t, FVar):
-            if t.name in bound:
-                return f"B{bound[t.name]}"
-            if t.name not in free_order:
-                free_order[t.name] = len(free_order)
-            return f"F{free_order[t.name]}"
-        if not t.args:
-            return f"{t.functor}/0"
-        return f"{t.functor}/{len(t.args)}(" + ",".join(term(a, bound) for a in t.args) + ")"
+        def variable(v):
+            if v.name in bound:
+                return f"B{bound[v.name]}"
+            return f"F{free_order.setdefault(v.name, len(free_order))}"
+
+        return term_text(t, variable, lambda functor, arity: f"{functor}/{arity}")
 
     def walk(g, bound):
         if isinstance(g, Literal):
@@ -173,27 +175,27 @@ def skolemize(f: Formula, registry: dict) -> Formula:
 
 # --- CNF distribution -------------------------------------------------------
 
-def distribute(f: Formula, limit: int) -> list:
+def distribute(f: Formula) -> list:
     """NNF-without-∃ formula to a list of clauses, each a list of `Literal`s."""
     if isinstance(f, Quant):
         if f.kind != "!":
             raise ClausifyError("existential quantifier survived Skolemization")
-        return distribute(f.body, limit)
+        return distribute(f.body)
     if isinstance(f, Literal):
         return [[f]]
     if isinstance(f, Not):
         raise ClausifyError("formula is not in negation normal form")
-    left = distribute(f.left, limit)
-    right = distribute(f.right, limit)
+    left = distribute(f.left)
+    right = distribute(f.right)
     if f.op == "&":
         return left + right
     if f.op != "|":
         raise ClausifyError(f"unexpected connective {f.op!r} after NNF")
     total = sum(len(a) + len(b) for a in left for b in right)
-    if total > limit:
+    if total > MAX_CLAUSE_LITERALS:
         raise ClausifyError(
-            f"CNF distribution exceeds the literal cutoff ({total} > {limit}); "
-            "simplify the input or raise max_clause_literals"
+            f"CNF distribution exceeds the literal cutoff ({total} > {MAX_CLAUSE_LITERALS}); "
+            "simplify the input"
         )
     return [a + b for a in left for b in right]
 
@@ -204,19 +206,14 @@ def equality_axioms(clauses) -> list:
     functions: dict = {}
     predicates: dict = {}
 
-    def scan_term(t):
-        if isinstance(t, App):
-            if t.args:
-                functions.setdefault((t.functor, len(t.args)), None)
-            for a in t.args:
-                scan_term(a)
-
     for clause in clauses:
         for lit in clause.literals:
             if lit.predicate not in (EQ_PREDICATE, TOP_PREDICATE) and lit.args:
                 predicates.setdefault((lit.predicate, lit.arity), None)
             for a in lit.args:
-                scan_term(a)
+                for t in subterms(a):
+                    if type(t) is App and t.args:
+                        functions.setdefault((t.functor, len(t.args)), None)
 
     def eq(a, b, positive=True):
         return Literal(positive, EQ_PREDICATE, (a, b))
@@ -261,7 +258,7 @@ def clausify(problem: Problem, options: ClausifyOptions | None = None) -> Matrix
             continue
         formula = Not(decl.formula) if decl.role == "conjecture" else decl.formula
         formula = skolemize(rename_apart(nnf(formula)), registry)
-        for k, literals in enumerate(distribute(formula, options.max_clause_literals)):
+        for k, literals in enumerate(distribute(formula)):
             label = decl.name if k == 0 else f"{decl.name}_{k}"
             clauses.append(number_variables(literals, label))
     if options.add_equality_axioms and any(

@@ -427,7 +427,7 @@ def cmd_tsp(args) -> int:
     config = mcts.SearchConfig(
         seed=args.seed,
         max_iterations=args.iterations,
-        max_sim_depth=max(instance.n, 1),
+        max_sim_depth=instance.n,
         cp_base=args.cp,
     )
     result = mcts.run(game, config)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import App, FVar, Literal, literal_to_str
+from .terms import FVar, Literal, literal_to_str, map_variables, subterms
 
 
 @dataclass(frozen=True)
@@ -39,19 +39,13 @@ def free_vars(f: Formula) -> list:
     out: list = []
     seen = set()
 
-    def walk_term(t, bound_here):
-        if isinstance(t, FVar):
-            if t.name not in bound_here and t.name not in seen:
-                seen.add(t.name)
-                out.append(t.name)
-        elif isinstance(t, App):
-            for a in t.args:
-                walk_term(a, bound_here)
-
     def walk(g, bound_here):
         if isinstance(g, Literal):
             for a in g.args:
-                walk_term(a, bound_here)
+                for t in subterms(a):
+                    if type(t) is FVar and t.name not in bound_here and t.name not in seen:
+                        seen.add(t.name)
+                        out.append(t.name)
         elif isinstance(g, Not):
             walk(g.body, bound_here)
         elif isinstance(g, Binary):
@@ -70,15 +64,11 @@ def subst_var(f: Formula, name: str, replacement) -> Formula:
     Not capture-avoiding: no binder in `f` may bind a variable of `replacement`.
     """
 
-    def in_term(t):
-        if isinstance(t, FVar):
-            return replacement if t.name == name else t
-        if isinstance(t, App) and t.args:
-            return App(t.functor, tuple(in_term(a) for a in t.args))
-        return t
+    def leaf(v):
+        return replacement if type(v) is FVar and v.name == name else v
 
     if isinstance(f, Literal):
-        return Literal(f.positive, f.predicate, tuple(in_term(a) for a in f.args))
+        return Literal(f.positive, f.predicate, tuple(map_variables(a, leaf) for a in f.args))
     if isinstance(f, Not):
         return Not(subst_var(f.body, name, replacement))
     if isinstance(f, Binary):

@@ -6,6 +6,10 @@ search-time clause copies are renamed by offsetting those indices into a
 per-search counter. Before that numbering, parsed literals and the leaves of
 fof formulas hold named variables (`FVar`). Constants are zero-arity
 applications.
+
+Terms are walked by `subterms`, `map_variables` and `term_text`, or under σ
+in unification and the calculus, always on explicit stacks, so any depth
+works. `App`'s generated `==` and `hash` recurse: keep them off nested terms.
 """
 
 from __future__ import annotations
@@ -75,37 +79,26 @@ class Clause:
 START_CLAUSE = Clause((TOP,), label="start")
 
 
-def number_variables(literals, label: str = "") -> Clause:
-    """The clause of `literals`, its named variables numbered by first occurrence."""
-    names: dict = {}
-
-    def number(t):
-        if isinstance(t, FVar):
-            if t.name not in names:
-                names[t.name] = Var(len(names))
-            return names[t.name]
-        if not isinstance(t, App) or not t.args:
-            return t
-        args = []
-        for a in t.args:
-            args.append(number(a))
-        return App(t.functor, tuple(args))
-
-    lits = tuple(
-        Literal(lit.positive, lit.predicate, tuple([number(a) for a in lit.args])) for lit in literals
-    )
-    return Clause(lits, var_count=len(names), var_names=tuple(names), label=label)
+def subterms(t: Term):
+    """The subterms of `t`, `t` first, in pre-order, left to right, walked
+    with an explicit stack so any depth walks."""
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        yield u
+        if type(u) is App and u.args:
+            stack.extend(reversed(u.args))
 
 
-def rename_term(t: Term, offset: int) -> Term:
-    """`t` with every variable id raised by `offset`, rebuilt with an explicit
-    stack so any depth renames."""
-    if isinstance(t, Var):
-        return Var(t.id + offset)
+def map_variables(t: Term, leaf) -> Term:
+    """`t` with each variable `v` replaced by `leaf(v)`, called left to right,
+    rebuilt with an explicit stack so any depth maps."""
+    if type(t) is not App:
+        return leaf(t)
     if not t.args:
         return t
-    done = []  # renamed subterms, in order
-    stack = [t]  # terms to rename, and (functor, arity) marks that rebuild an App from `done`
+    done = []  # mapped subterms, in order
+    stack = [t]  # terms to map, and (functor, arity) marks that rebuild an App from `done`
     while stack:
         u = stack.pop()
         if type(u) is tuple:
@@ -113,14 +106,39 @@ def rename_term(t: Term, offset: int) -> Term:
             args = tuple(done[-n:])
             del done[-n:]
             done.append(App(functor, args))
-        elif isinstance(u, Var):
-            done.append(Var(u.id + offset))
+        elif type(u) is not App:
+            done.append(leaf(u))
         elif not u.args:
             done.append(u)
         else:
             stack.append((u.functor, len(u.args)))
             stack.extend(reversed(u.args))
     return done[0]
+
+
+def number_variables(literals, label: str = "") -> Clause:
+    """The clause of `literals`, its named variables numbered by first occurrence."""
+    names: dict = {}
+
+    def number(v):
+        if type(v) is FVar:
+            if v.name not in names:
+                names[v.name] = Var(len(names))
+            return names[v.name]
+        return v
+
+    lits = tuple(
+        Literal(lit.positive, lit.predicate, tuple([map_variables(a, number) for a in lit.args]))
+        for lit in literals
+    )
+    return Clause(lits, var_count=len(names), var_names=tuple(names), label=label)
+
+
+def rename_term(t: Term, offset: int) -> Term:
+    """`t` with every variable id raised by `offset`."""
+    if type(t) is Var:  # the commonest argument, renamed without a callback
+        return Var(t.id + offset)
+    return map_variables(t, lambda v: Var(v.id + offset))
 
 
 def rename_literal(lit: Literal, offset: int) -> Literal:
@@ -172,28 +190,39 @@ def _atom_name(name: str) -> str:
     return "'" + name.replace("\\", "\\\\").replace("'", "\\'") + "'"
 
 
-def term_to_str(t: Term, var_names: tuple = ()) -> str:
-    """`t` in TPTP syntax, walked with an explicit stack so any depth prints."""
+def term_text(t: Term, variable, head) -> str:
+    """`t` as text, walked with an explicit stack so any depth prints: a
+    variable `v` as `variable(v)`, an application as `head(functor, arity)`
+    followed by its arguments, if any, in parentheses and separated by commas."""
     parts = []
     stack = [t]
     while stack:
         t = stack.pop()
-        if isinstance(t, str):
+        if type(t) is str:
             parts.append(t)
-        elif isinstance(t, Var):
-            parts.append(var_names[t.id] if t.id < len(var_names) else f"_{t.id}")
-        elif isinstance(t, FVar):
-            parts.append(t.name)
+        elif type(t) is not App:
+            parts.append(variable(t))
         elif not t.args:
-            parts.append(_atom_name(t.functor))
+            parts.append(head(t.functor, 0))
         else:
-            parts.append(_atom_name(t.functor) + "(")
+            parts.append(head(t.functor, len(t.args)) + "(")
             stack.append(")")
             for i in range(len(t.args) - 1, -1, -1):
                 stack.append(t.args[i])
                 if i:
                     stack.append(",")
     return "".join(parts)
+
+
+def term_to_str(t: Term, var_names: tuple = ()) -> str:
+    """`t` in TPTP syntax."""
+
+    def variable(v):
+        if type(v) is FVar:
+            return v.name
+        return var_names[v.id] if v.id < len(var_names) else f"_{v.id}"
+
+    return term_text(t, variable, lambda functor, arity: _atom_name(functor))
 
 
 def literal_to_str(lit: Literal, var_names: tuple = ()) -> str:

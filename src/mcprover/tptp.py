@@ -228,21 +228,30 @@ class _Parser:
         return Literal(True, term.functor, term.args)
 
     def term(self):
-        tok = self.next()
-        if tok.kind == "var":
-            return FVar(tok.text)
-        if tok.kind != "word":
-            raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.col)
-        args: tuple = ()
-        if self.peek().text == "(":
-            self.next()
-            parts = [self.term()]
-            while self.peek().text == ",":
+        open_apps = []  # (functor, arguments so far) of each application whose ")" is pending
+        while True:
+            tok = self.next()
+            if tok.kind == "var":
+                term = FVar(tok.text)
+            elif tok.kind != "word":
+                raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.col)
+            elif self.peek().text == "(":
                 self.next()
-                parts.append(self.term())
-            self.expect(")")
-            args = tuple(parts)
-        return App(tok.text, args)
+                open_apps.append((tok.text, []))
+                continue
+            else:
+                term = App(tok.text)
+            while open_apps:  # `term` is complete: add it to the innermost open application
+                functor, args = open_apps[-1]
+                args.append(term)
+                if self.peek().text == ",":
+                    self.next()
+                    break
+                self.expect(")")
+                open_apps.pop()
+                term = App(functor, tuple(args))
+            else:
+                return term
 
     # fof
 

@@ -22,7 +22,7 @@ import logging
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .terms import Clause, Literal, Matrix, START_CLAUSE, Var
+from .terms import Clause, Literal, Matrix, START_CLAUSE, Var, subterms
 
 log = logging.getLogger(__name__)
 
@@ -46,14 +46,11 @@ class LiteralKey(NamedTuple):
 
 
 def _term_bytes(t, numbering: dict, out: bytearray):
-    if isinstance(t, Var):
-        if t.id not in numbering:
-            numbering[t.id] = len(numbering)
-        out += b"V%d\x00" % numbering[t.id]
-    else:
-        out += b"A" + t.functor.encode("utf-8") + b"\x00%d\x00" % len(t.args)
-        for a in t.args:
-            _term_bytes(a, numbering, out)
+    for u in subterms(t):
+        if type(u) is Var:
+            out += b"V%d\x00" % numbering.setdefault(u.id, len(numbering))
+        else:
+            out += b"A" + u.functor.encode("utf-8") + b"\x00%d\x00" % len(u.args)
 
 
 def _literal_bytes(lit: Literal, numbering: dict, out: bytearray):

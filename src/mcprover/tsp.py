@@ -44,17 +44,20 @@ class TspInstance:
         return total
 
     def bounds(self) -> tuple:
-        """(lower, upper) tour-length bounds from per-city edge extremes."""
+        """(lower, upper) tour-length bounds from per-city edge extremes; a
+        single city has no edge and its one tour has length 0."""
         lower = 0.0
         upper = 0.0
         for i in range(self.n):
             row = [self.distances[i][j] for j in range(self.n) if j != i]
-            lower += min(row)
-            upper += max(row)
+            lower += min(row, default=0.0)
+            upper += max(row, default=0.0)
         return lower, upper
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "TspInstance":
+        if n < 1:
+            raise ValueError(f"an instance needs at least 1 city, not {n}")
         table = [[0.0] * n for _ in range(n)]
         seen = set()
         for i, j, dist in edges:

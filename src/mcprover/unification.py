@@ -8,7 +8,7 @@ memory per state stays linear in the number of bindings.
 
 from __future__ import annotations
 
-from .terms import App, Literal, Term, Var
+from .terms import Literal, Var
 
 
 class Substitution:
@@ -27,42 +27,13 @@ class Substitution:
         merged.update(bindings)
         return Substitution(merged)
 
-    def factors_through(self, other: "Substitution") -> bool:
-        """True iff every binding of `other` is present here unchanged."""
-        return all(self.lookup(var_id) is term for var_id, term in other.items())
-
-    def items(self):
-        return self._bindings.items()
-
-    def deref(self, t: Term) -> Term:
-        while isinstance(t, Var):
-            bound = self.lookup(t.id)
-            if bound is None:
-                return t
-            t = bound
-        return t
-
 
 EMPTY_SUBSTITUTION = Substitution()
 
 
-def unify(sigma: Substitution, a, b) -> Substitution | None:
-    """Unify two terms, or the argument lists of two complementary literals.
-
-    Returns an extension of `sigma` or None on clash / occurs-check failure.
-    For literals the caller guarantees equal predicates and opposite polarity
-    (normally via the extension index); violating that is a usage error.
-    """
-    if isinstance(a, Literal) or isinstance(b, Literal):
-        if not (isinstance(a, Literal) and isinstance(b, Literal)):
-            raise TypeError("cannot unify a literal with a term")
-        if a.predicate != b.predicate or a.positive == b.positive:
-            raise ValueError("literal unification requires complementary literals")
-        return unify_args(sigma, a.args, b.args)
-    return unify_args(sigma, (a,), (b,))
-
-
 def unify_args(sigma: Substitution, xs: tuple, ys: tuple) -> Substitution | None:
+    """Unify the terms of `xs` and `ys` pairwise: an extension of `sigma`, or
+    None on a clash or an occurs-check failure."""
     if len(xs) != len(ys):
         return None
     new: dict = {}
@@ -134,20 +105,6 @@ def unify_args(sigma: Substitution, xs: tuple, ys: tuple) -> Substitution | None
     return sigma.extended(new)
 
 
-def resolve_term(sigma: Substitution, t: Term) -> Term:
-    """Apply the substitution exhaustively, producing a fresh term."""
-    t = sigma.deref(t)
-    if isinstance(t, Var) or not t.args:
-        return t
-    return App(t.functor, tuple(resolve_term(sigma, a) for a in t.args))
-
-
-def resolve_literal(sigma: Substitution, lit: Literal) -> Literal:
-    if not lit.args:
-        return lit
-    return Literal(lit.positive, lit.predicate, tuple(resolve_term(sigma, a) for a in lit.args))
-
-
 def pairs_equal_under(sigma: Substitution, stack: list) -> bool:
     """Whether each (x, y) pair of `stack` is structurally equal modulo the
     substitution; consumes `stack`. A pair of compounds with several
@@ -184,11 +141,6 @@ def pairs_equal_under(sigma: Substitution, stack: list) -> bool:
                 pushed.add(pair)
             stack.extend(zip(x.args, y.args))
     return True
-
-
-def terms_equal_under(sigma: Substitution, a: Term, b: Term) -> bool:
-    """Structural equality of two terms modulo the substitution."""
-    return pairs_equal_under(sigma, [(a, b)])
 
 
 def literals_equal_under(sigma: Substitution, a: Literal, b: Literal) -> bool:

@@ -17,6 +17,7 @@ from mcprover.clausify import load_matrix, prepare_matrix
 from mcprover.cli import bundled_corpus_dir
 from mcprover.terms import App, Clause, Literal, Matrix, TOP, Var
 from mcprover.unification import literals_equal_under
+from oracles import bindings
 
 
 def all_descendants(state, matrix, options=CalculusOptions(), limit=2000):
@@ -209,7 +210,7 @@ def shape(pairs):
             succ.fresh_var,
             succ.extensions,
             succ.reductions,
-            dict(succ.sigma.items()),
+            bindings(succ.sigma),
             [(g.clause, g.path, g.lemmas, g.depth, g.clause_index, g.literal_indices) for g in succ.goals],
         )
         for action, succ in pairs

@@ -81,10 +81,10 @@ fof(goal, conjecture, ? [X] : p(X)).
 
 
 def test_distribution_cutoff():
-    # (a1&b1) | (a2&b2) | ... blows up multiplicatively
+    # (a1&b1) | (a2&b2) | ... blows up multiplicatively: 9 * 2**9 literals > 4096
     parts = " | ".join(f"(a{i} & b{i})" for i in range(12))
     with pytest.raises(ClausifyError, match="cutoff"):
-        clausify_text(f"fof(f, axiom, ({parts})).", max_clause_literals=64)
+        clausify_text(f"fof(f, axiom, ({parts})).")
 
 
 def test_equivalence_expansion():

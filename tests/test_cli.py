@@ -95,20 +95,54 @@ def test_prove_finds_no_proof_when_an_inner_binder_shadows_a_skolem_argument(cap
     assert "outcome    : proof" not in out
 
 
-def test_prove_term_nested_400_deep(capsys, tmp_path):
-    depth = 400
+def deep_term_problem(path, depth):
+    """A cnf problem whose one proof unifies `X` with a term `depth` deep."""
+    path.write_text(f"cnf(c1, axiom, p({'s(' * depth}c{')' * depth})).\ncnf(c2, axiom, ~p(X)).\n")
+    return path
+
+
+@pytest.mark.parametrize("engine", ["deepening", "mcts"])
+@pytest.mark.parametrize("depth", [400, 800, 3000, 10000])
+def test_prove_term_nested_deep(capsys, tmp_path, depth, engine):
+    problem = deep_term_problem(tmp_path / "deep.p", depth)
+    code, out, _ = run_cli(capsys, "prove", str(problem), "--engine", engine)
+    assert code == 0
+    assert "checker    : accepted" in out
+
+
+def test_prove_fof_existential_over_a_term_10000_deep(capsys, tmp_path):
+    depth = 10000
     problem = tmp_path / "deep.p"
-    problem.write_text(f"cnf(c1, axiom, p({'s(' * depth}c{')' * depth})).\ncnf(c2, axiom, ~p(X)).\n")
+    problem.write_text(
+        f"fof(a, axiom, ? [X] : p(X, {'s(' * depth}c{')' * depth})).\n"
+        "fof(g, conjecture, ? [X,Y] : p(X,Y)).\n"
+    )
     code, out, _ = run_cli(capsys, "prove", str(problem))
     assert code == 0
     assert "checker    : accepted" in out
 
 
-def test_prove_term_nested_800_deep(capsys, tmp_path):
-    depth = 800
-    problem = tmp_path / "deep.p"
-    problem.write_text(f"cnf(c1, axiom, p({'s(' * depth}c{')' * depth})).\ncnf(c2, axiom, ~p(X)).\n")
-    code, out, _ = run_cli(capsys, "prove", str(problem))
+def test_show_of_show_is_identical_for_a_term_10000_deep(capsys, tmp_path):
+    code, shown, _ = run_cli(capsys, "show", str(deep_term_problem(tmp_path / "deep.p", 10000)))
+    assert code == 0
+    again = tmp_path / "again.p"
+    again.write_text(shown)
+    code, reshown, _ = run_cli(capsys, "show", str(again))
+    assert code == 0
+    assert reshown == shown
+
+
+def test_train_hashes_a_term_10000_deep_into_a_model(capsys, tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    problem = deep_term_problem(corpus / "deep.p", 10000)
+    model = tmp_path / "model.txt"
+    code, out, _ = run_cli(capsys, "train", str(corpus), "--model-out", str(model))
+    assert code == 0
+    assert "solved 1/1" in out
+    assert len(Store.load(str(model))) > 0
+    code, out, _ = run_cli(capsys, "prove", str(problem), "--engine", "mcts", "--weights", "rank",
+                           "--model", str(model))
     assert code == 0
     assert "checker    : accepted" in out
 
@@ -204,6 +238,12 @@ def test_tsp_command_matches_brute_force(capsys):
     assert "matched    : yes" in out
 
 
+def test_tsp_command_solves_one_city(capsys):
+    code, out, _ = run_cli(capsys, "tsp", "--random", "1", "--brute-force")
+    assert code == 0
+    assert "matched    : yes" in out
+
+
 def test_tsp_instance_file(capsys, tmp_path):
     from mcprover.tsp import TspInstance
 
@@ -264,7 +304,7 @@ EXIT_TWO_CASES = {
     "ratio-weight-above-one": ["prove", "{problem}", "--reward-ratio-weight", "2"],
     "reduction-weight-zero": ["prove", "{problem}", "--engine", "mcts", "--reduction-weight", "0"],
     "malformed-model": ["prove", "{problem}", "--engine", "mcts", "--model", "{bad_model}"],
-    "deep-term": ["prove", "{deep_term}"],
+    "deep-formula": ["prove", "{deep_formula}"],
     "proof-out-missing-dir": ["prove", "{problem}", "--proof-out", "{missing}/p"],
     "bench-missing-corpus": ["bench", "{missing}"],
     "bench-empty-corpus": ["bench", "{empty}"],
@@ -272,6 +312,7 @@ EXIT_TWO_CASES = {
     "bench-machine-out-missing-dir": ["bench", "{corpus}", "--machine-out", "{missing}/b.tsv"],
     "train-out-missing-dir": ["train", "{corpus}", "--model-out", "{missing}/m.txt"],
     "tsp-brute-force-too-large": ["tsp", "--random", "12", "--brute-force"],
+    "tsp-no-cities": ["tsp", "--random", "0"],
 }
 SUBPROCESS_CASE = "bench-missing-corpus"  # also covers the `python -m` entry point
 
@@ -284,10 +325,10 @@ def test_bad_input_exits_two_with_one_error_line(capsys, tmp_path, case):
     (tmp_path / "empty").mkdir()
     bad_model = tmp_path / "bad_model.txt"
     bad_model.write_text("not a model\n")
-    deep_term = tmp_path / "deep_term.p"  # deeper than the parser's recursion allows
-    deep_term.write_text(f"cnf(c1, axiom, p({'s(' * 3000}c{')' * 3000})).\ncnf(c2, axiom, ~p(X)).\n")
+    deep_formula = tmp_path / "deep_formula.p"  # formulas nest deeper than the parser's recursion allows
+    deep_formula.write_text(f"fof(a, axiom, {'(' * 3000}p{')' * 3000}).\nfof(g, conjecture, p).\n")
     places = dict(problem=corpus_file("prop_unit.p"), corpus=corpus, bad_model=bad_model,
-                  deep_term=deep_term, missing=tmp_path / "missing", empty=tmp_path / "empty")
+                  deep_formula=deep_formula, missing=tmp_path / "missing", empty=tmp_path / "empty")
     argv = [arg.format(**places) for arg in EXIT_TWO_CASES[case]]
     if case == SUBPROCESS_CASE:
         src = os.path.dirname(os.path.dirname(os.path.abspath(mcprover.__file__)))

@@ -10,6 +10,7 @@ from mcprover.deepening import (
 from mcprover.terms import TOP_PREDICATE
 from mcprover.trainstore import KeyTable, key_of
 from mcprover.terms import START_CLAUSE
+from oracles import factors_through
 
 
 def test_unit_pair_proof_at_depth_one(unit_pair_matrix):
@@ -179,7 +180,7 @@ def test_successor_substitutions_factor_through_parent(unit_pair_matrix):
         if state.is_closed:
             continue
         for _, succ in successors(state, m):
-            assert succ.sigma.factors_through(state.sigma)
+            assert factors_through(succ.sigma, state.sigma)
             stack.append(succ)
 
 

@@ -67,6 +67,15 @@ def test_brute_force_tiny_cases():
     assert lengths == {12.0}
 
 
+def test_one_city_has_zero_bounds_and_no_city_is_refused():
+    one = TspInstance.from_edges(1, [])
+    assert one.bounds() == (0.0, 0.0)
+    assert brute_force_optimum(one) == ((1,), 0.0)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"not {n}"):
+            TspInstance.from_edges(n, [])
+
+
 def test_brute_force_size_guard():
     with pytest.raises(ValueError):
         brute_force_optimum(TspInstance.random(11, seed=0))
