@@ -1,17 +1,20 @@
-"""Clausification: negation normal form, Skolemization, naive CNF distribution.
+"""Clausification in two formula walks: `nnf` (negation normal form with
+binders renamed apart), then `clauses` (Skolemization and naive CNF
+distribution).
 
 Skolem symbols are named from a content hash of the existential subformula
-(bound variables as binder-depth indices, free variables by first occurrence),
-so the same subformula receives the same Skolem name in every problem and in
-every run. Skolem arguments are the subformula's free variables in order of
-first occurrence, which keeps arity independent of the enclosing context.
+(bound variables numbered by the distinct names in scope at their binder,
+free variables by first occurrence), so the same subformula receives the
+same Skolem name in every problem and in every run. Skolem arguments are the
+subformula's free variables in order of first occurrence, which keeps arity
+independent of the enclosing context.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .formulas import Binary, Formula, Not, Quant, free_vars, subst_var
+from .formulas import Binary, Formula, Not, Quant, free_vars, subst_var, unwind
 from .terms import (
     App,
     Clause,
@@ -45,104 +48,55 @@ class ClausifyOptions:
     add_equality_axioms: bool = False
 
 
-def nnf(f: Formula, sign: bool = True) -> Formula:
-    """Negation normal form with =>, <=, <=>, <~> eliminated; no `Not` is left."""
-    if isinstance(f, Literal):
-        return f if sign else f.complement()
-    if isinstance(f, Not):
-        return nnf(f.body, not sign)
-    if isinstance(f, Quant):
-        kind = f.kind if sign else ("?" if f.kind == "!" else "!")
-        return Quant(kind, f.var, nnf(f.body, sign))
-    op, left, right = f.op, f.left, f.right
-    if op == "&":
-        return Binary("&" if sign else "|", nnf(left, sign), nnf(right, sign))
-    if op == "|":
-        return Binary("|" if sign else "&", nnf(left, sign), nnf(right, sign))
-    if op == "=>":
-        return nnf(Binary("|", Not(left), right), sign)
-    if op == "<=":
-        return nnf(Binary("|", left, Not(right)), sign)
-    if op == "<=>":
-        expanded = Binary("&", Binary("|", Not(left), right), Binary("|", Not(right), left))
-        return nnf(expanded, sign)
-    if op == "<~>":
-        expanded = Binary("&", Binary("|", left, right), Binary("|", Not(left), Not(right)))
-        return nnf(expanded, sign)
-    raise ClausifyError(f"unsupported connective {op!r}")
+def nnf(f: Formula) -> Formula:
+    """Negation normal form with =>, <=, <=>, <~> eliminated and binders renamed apart.
 
-
-# --- Skolemization ----------------------------------------------------------
-
-def _canonical_formula(f: Formula) -> str:
-    """Canonical serialization: bound vars by binder depth, free by occurrence."""
-    free_order: dict = {}
-
-    def term(t, bound):
-        def variable(v):
-            if v.name in bound:
-                return f"B{bound[v.name]}"
-            return f"F{free_order.setdefault(v.name, len(free_order))}"
-
-        return term_text(t, variable, lambda functor, arity: f"{functor}/{arity}")
-
-    def walk(g, bound):
-        if isinstance(g, Literal):
-            sign = "" if g.positive else "~"
-            return f"{sign}{g.predicate}/{len(g.args)}(" + ",".join(term(a, bound) for a in g.args) + ")"
-        if isinstance(g, Binary):
-            return f"({walk(g.left, bound)}{g.op}{walk(g.right, bound)})"
-        inner = dict(bound)
-        inner[g.var] = len(bound)
-        return f"{g.kind}:" + walk(g.body, inner)
-
-    return walk(f, {})
-
-
-def skolem_name(subformula: Formula, registry: dict) -> str:
-    canonical = _canonical_formula(subformula)
-    name = f"sk_{fnv64(canonical.encode('utf-8')):016x}"
-    arity = len(free_vars(subformula))
-    while name in registry and registry[name] != canonical:
-        widened = f"{name}_{arity}"
-        if widened == name:
-            raise ClausifyError(f"irreconcilable Skolem name collision for {name}")
-        name = widened
-    registry[name] = canonical
-    return name
-
-
-def rename_apart(f: Formula) -> Formula:
-    """Rename each binder that reuses the name of a universal it can share a clause with.
-
-    Those universals are the enclosing `!`s and the `!`s on the other side of
-    an enclosing `|`; the two sides of an `&` go to different clauses. The
-    binder gets the first `name_k` used nowhere in `f`. Skolemization needs
-    this first, as a Skolem term carries the enclosing universals into its scope.
+    No `Not` is left. A binder is renamed when it reuses the name of a
+    universal it can share a clause with: an enclosing `!`, or a `!` on the
+    other side of an enclosing `|` (the two sides of an `&` go to different
+    clauses). It gets the first `name_k` used nowhere in `f`. Skolemization
+    needs this, as a Skolem term carries the enclosing universals into its scope.
     """
     used: set = set()
 
-    def walk(g, taken):  # -> (renamed g, taken plus the universals g binds)
+    def walk(g, sign, taken):  # -> (g in NNF, taken plus the universals it binds)
         if isinstance(g, Literal):
-            return g, taken
-        if isinstance(g, Binary):
-            left, after = walk(g.left, taken)
-            right, after_right = walk(g.right, taken if g.op == "&" else after)
-            return Binary(g.op, left, right), after | after_right
-        var, body = g.var, g.body
-        if var in taken:
-            if not used:
-                used.update(_variable_names(f))
-            k = 1
-            while f"{g.var}_{k}" in used:
-                k += 1
-            var = f"{g.var}_{k}"
-            used.add(var)
-            body = subst_var(body, g.var, FVar(var))
-        body, after = walk(body, taken | {var} if g.kind == "!" else taken)
-        return Quant(g.kind, var, body), after
+            return (g if sign else g.complement()), taken
+        if isinstance(g, Not):
+            return (yield walk(g.body, not sign, taken))
+        if isinstance(g, Quant):
+            kind = g.kind if sign else ("?" if g.kind == "!" else "!")
+            var, body = g.var, g.body
+            if var in taken:
+                if not used:
+                    used.update(_variable_names(f))
+                k = 1
+                while f"{g.var}_{k}" in used:
+                    k += 1
+                var = f"{g.var}_{k}"
+                used.add(var)
+                body = subst_var(body, g.var, FVar(var))
+            body, after = yield walk(body, sign, taken | {var} if kind == "!" else taken)
+            return Quant(kind, var, body), after
+        op, left, right = g.op, g.left, g.right
+        if op in ("&", "|"):
+            op = op if sign else ("|" if op == "&" else "&")
+            left, after = yield walk(left, sign, taken)
+            right, after_right = yield walk(right, sign, taken if op == "&" else after)
+            return Binary(op, left, right), after | after_right
+        if op == "=>":
+            expanded = Binary("|", Not(left), right)
+        elif op == "<=":
+            expanded = Binary("|", left, Not(right))
+        elif op == "<=>":
+            expanded = Binary("&", Binary("|", Not(left), right), Binary("|", Not(right), left))
+        elif op == "<~>":
+            expanded = Binary("&", Binary("|", left, right), Binary("|", Not(left), Not(right)))
+        else:
+            raise ClausifyError(f"unsupported connective {op!r}")
+        return (yield walk(expanded, sign, taken))
 
-    return walk(f, frozenset())[0]
+    return unwind(walk(f, True, frozenset()))[0]
 
 
 def _variable_names(f: Formula) -> set:
@@ -154,50 +108,84 @@ def _variable_names(f: Formula) -> set:
             names.update(free_vars(g))
         elif isinstance(g, Binary):
             stack += (g.left, g.right)
+        elif isinstance(g, Not):
+            stack.append(g.body)
         else:
             names.add(g.var)
             stack.append(g.body)
     return names
 
 
-def skolemize(f: Formula, registry: dict) -> Formula:
-    """Remove existential quantifiers from a renamed-apart NNF formula, outermost first."""
-    if isinstance(f, Literal):
-        return f
-    if isinstance(f, Binary):
-        return Binary(f.op, skolemize(f.left, registry), skolemize(f.right, registry))
-    if f.kind == "!":
-        return Quant("!", f.var, skolemize(f.body, registry))
-    name = skolem_name(f, registry)
-    args = tuple(FVar(v) for v in free_vars(f))
-    return skolemize(subst_var(f.body, f.var, App(name, args)), registry)
+# --- Skolemization and CNF distribution -------------------------------------
+
+def _canonical_formula(f: Formula) -> str:
+    """Canonical serialization: bound vars by the distinct names in scope at
+    their binder, free vars by first occurrence."""
+    free_order: dict = {}
+    bound: dict = {}  # name -> number of its innermost binder in scope
+
+    def variable(v):
+        if v.name in bound:
+            return f"B{bound[v.name]}"
+        return f"F{free_order.setdefault(v.name, len(free_order))}"
+
+    def walk(g):
+        if isinstance(g, Literal):
+            sign = "" if g.positive else "~"
+            args = (term_text(a, variable, lambda functor, arity: f"{functor}/{arity}") for a in g.args)
+            return f"{sign}{g.predicate}/{len(g.args)}(" + ",".join(args) + ")"
+        if isinstance(g, Binary):
+            return f"({(yield walk(g.left))}{g.op}{(yield walk(g.right))})"
+        outer = bound.get(g.var)
+        bound[g.var] = len(bound)  # counted before `g.var` is added, if it is new
+        text = f"{g.kind}:" + (yield walk(g.body))
+        if outer is None:
+            del bound[g.var]
+        else:
+            bound[g.var] = outer
+        return text
+
+    return unwind(walk(f))
 
 
-# --- CNF distribution -------------------------------------------------------
+def skolem_name(subformula: Formula, arity: int, registry: dict) -> str:
+    canonical = _canonical_formula(subformula)
+    name = f"sk_{fnv64(canonical.encode('utf-8')):016x}"
+    while name in registry and registry[name] != canonical:
+        name = f"{name}_{arity}"
+    registry[name] = canonical
+    return name
 
-def distribute(f: Formula) -> list:
-    """NNF-without-∃ formula to a list of clauses, each a list of `Literal`s."""
-    if isinstance(f, Quant):
-        if f.kind != "!":
-            raise ClausifyError("existential quantifier survived Skolemization")
-        return distribute(f.body)
-    if isinstance(f, Literal):
-        return [[f]]
-    if isinstance(f, Not):
-        raise ClausifyError("formula is not in negation normal form")
-    left = distribute(f.left)
-    right = distribute(f.right)
-    if f.op == "&":
-        return left + right
-    if f.op != "|":
-        raise ClausifyError(f"unexpected connective {f.op!r} after NNF")
-    total = sum(len(a) + len(b) for a in left for b in right)
-    if total > MAX_CLAUSE_LITERALS:
-        raise ClausifyError(
-            f"CNF distribution exceeds the literal cutoff ({total} > {MAX_CLAUSE_LITERALS}); "
-            "simplify the input"
-        )
-    return [a + b for a in left for b in right]
+
+def clauses(f: Formula, registry: dict) -> list:
+    """The clauses of an `nnf` formula, each a list of `Literal`s.
+
+    Existentials are Skolemized outermost first, naming Skolem symbols in
+    `registry`; a disjunction is distributed over the clauses of its sides.
+    """
+
+    def walk(g):
+        if isinstance(g, Literal):
+            return [[g]]
+        if isinstance(g, Quant):
+            if g.kind == "?":
+                args = tuple(FVar(v) for v in free_vars(g))
+                skolem = App(skolem_name(g, len(args), registry), args)
+                return (yield walk(subst_var(g.body, g.var, skolem)))
+            return (yield walk(g.body))
+        left = yield walk(g.left)
+        right = yield walk(g.right)
+        if g.op == "&":
+            return left + right
+        total = sum(len(a) + len(b) for a in left for b in right)
+        if total > MAX_CLAUSE_LITERALS:
+            raise ClausifyError(
+                f"CNF distribution exceeds the literal cutoff ({total} > {MAX_CLAUSE_LITERALS}); "
+                "simplify the input"
+            )
+        return [a + b for a in left for b in right]
+
+    return unwind(walk(f))
 
 
 # --- equality axioms --------------------------------------------------------
@@ -251,21 +239,20 @@ def clausify(problem: Problem, options: ClausifyOptions | None = None) -> Matrix
     """Turn a parsed problem into an (unprepared) clause matrix."""
     options = options or ClausifyOptions()
     registry: dict = {}
-    clauses: list = []
+    out: list = []
     for decl in problem.declarations:
         if isinstance(decl, CnfDecl):
-            clauses.append(decl.clause)
+            out.append(decl.clause)
             continue
         formula = Not(decl.formula) if decl.role == "conjecture" else decl.formula
-        formula = skolemize(rename_apart(nnf(formula)), registry)
-        for k, literals in enumerate(distribute(formula)):
+        for k, literals in enumerate(clauses(nnf(formula), registry)):
             label = decl.name if k == 0 else f"{decl.name}_{k}"
-            clauses.append(number_variables(literals, label))
+            out.append(number_variables(literals, label))
     if options.add_equality_axioms and any(
-        lit.predicate == EQ_PREDICATE for c in clauses for lit in c.literals
+        lit.predicate == EQ_PREDICATE for c in out for lit in c.literals
     ):
-        clauses.extend(equality_axioms(clauses))
-    return Matrix(clauses=tuple(clauses))
+        out.extend(equality_axioms(out))
+    return Matrix(clauses=tuple(out))
 
 
 def prepare_matrix(matrix: Matrix) -> Matrix:

@@ -1,8 +1,11 @@
-"""First-order formula AST for the fof input subset.
+"""First-order formula AST for the fof input subset, and its walks.
 
 The leaves are `terms.Literal`s whose variables are named (`FVar`) until
 clausification numbers them per clause; `a != b` is a negative equality
 literal, and `~` builds a `Not` node.
+
+Every formula walk is a generator run by `unwind` on an explicit stack, so
+formulas nest to any depth.
 """
 
 from __future__ import annotations
@@ -34,28 +37,48 @@ class Quant:
 Formula = Literal | Not | Binary | Quant
 
 
+def unwind(walk):
+    """Run the generator `walk` to its return value on an explicit stack.
+
+    A walker recurses by yielding a generator: `(yield child)` runs `child`
+    the same way and evaluates to its return value.
+    """
+    stack, value = [walk], None
+    while stack:
+        try:
+            child = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+        else:
+            stack.append(child)
+            value = None
+    return value
+
+
 def free_vars(f: Formula) -> list:
     """Free variable names in order of first occurrence."""
-    out: list = []
-    seen = set()
+    out: dict = {}
+    bound: dict = {}  # name -> number of enclosing binders of that name
 
-    def walk(g, bound_here):
+    def walk(g):
         if isinstance(g, Literal):
             for a in g.args:
                 for t in subterms(a):
-                    if type(t) is FVar and t.name not in bound_here and t.name not in seen:
-                        seen.add(t.name)
-                        out.append(t.name)
+                    if type(t) is FVar and not bound.get(t.name):
+                        out.setdefault(t.name)
         elif isinstance(g, Not):
-            walk(g.body, bound_here)
+            yield walk(g.body)
         elif isinstance(g, Binary):
-            walk(g.left, bound_here)
-            walk(g.right, bound_here)
+            yield walk(g.left)
+            yield walk(g.right)
         else:
-            walk(g.body, bound_here | {g.var})
+            bound[g.var] = bound.get(g.var, 0) + 1
+            yield walk(g.body)
+            bound[g.var] -= 1
 
-    walk(f, set())
-    return out
+    unwind(walk(f))
+    return list(out)
 
 
 def subst_var(f: Formula, name: str, replacement) -> Formula:
@@ -67,45 +90,48 @@ def subst_var(f: Formula, name: str, replacement) -> Formula:
     def leaf(v):
         return replacement if type(v) is FVar and v.name == name else v
 
-    if isinstance(f, Literal):
-        return Literal(f.positive, f.predicate, tuple(map_variables(a, leaf) for a in f.args))
-    if isinstance(f, Not):
-        return Not(subst_var(f.body, name, replacement))
-    if isinstance(f, Binary):
-        return Binary(f.op, subst_var(f.left, name, replacement), subst_var(f.right, name, replacement))
-    if f.var == name:  # shadowed
-        return f
-    return Quant(f.kind, f.var, subst_var(f.body, name, replacement))
+    def walk(g):
+        if isinstance(g, Literal):
+            return Literal(g.positive, g.predicate, tuple(map_variables(a, leaf) for a in g.args))
+        if isinstance(g, Not):
+            return Not((yield walk(g.body)))
+        if isinstance(g, Binary):
+            return Binary(g.op, (yield walk(g.left)), (yield walk(g.right)))
+        if g.var == name:  # shadowed
+            return g
+        return Quant(g.kind, g.var, (yield walk(g.body)))
+
+    return unwind(walk(f))
 
 
 # --- canonical printing ---------------------------------------------------
 
 def formula_to_str(f: Formula) -> str:
-    if isinstance(f, Literal):
-        return literal_to_str(f)
-    if isinstance(f, Not):
-        return "~" + _wrap(f.body)
-    if isinstance(f, Binary):
-        if f.op in ("&", "|"):
-            # flatten the left spine of an associative chain
-            parts = [_wrap(f.right)]
-            node = f.left
-            while isinstance(node, Binary) and node.op == f.op:
-                parts.append(_wrap(node.right))
-                node = node.left
-            parts.append(_wrap(node))
-            return "(" + f" {f.op} ".join(reversed(parts)) + ")"
-        return f"({_wrap(f.left)} {f.op} {_wrap(f.right)})"
-    names = [f.var]
-    body = f.body
-    while isinstance(body, Quant) and body.kind == f.kind:
-        names.append(body.var)
-        body = body.body
-    return f"{f.kind} [{','.join(names)}] : {_wrap(body)}"
+    def walk(g, wrap=False):  # `wrap`: parenthesize a quantified formula
+        if isinstance(g, Literal):
+            return literal_to_str(g)
+        if isinstance(g, Not):
+            return "~" + (yield walk(g.body, True))
+        if isinstance(g, Binary):
+            if g.op in ("&", "|"):
+                # flatten the left spine of an associative chain
+                parts = [g.right]
+                node = g.left
+                while isinstance(node, Binary) and node.op == g.op:
+                    parts.append(node.right)
+                    node = node.left
+                parts.append(node)
+                texts = []
+                for part in reversed(parts):
+                    texts.append((yield walk(part, True)))
+                return "(" + f" {g.op} ".join(texts) + ")"
+            return f"({(yield walk(g.left, True))} {g.op} {(yield walk(g.right, True))})"
+        names = [g.var]
+        body = g.body
+        while isinstance(body, Quant) and body.kind == g.kind:
+            names.append(body.var)
+            body = body.body
+        text = f"{g.kind} [{','.join(names)}] : {(yield walk(body, True))}"
+        return f"({text})" if wrap else text
 
-
-def _wrap(f: Formula) -> str:
-    text = formula_to_str(f)
-    if isinstance(f, Quant):
-        return f"({text})"
-    return text
+    return unwind(walk(f))

@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .formulas import Binary, Formula, Not, Quant, formula_to_str, free_vars
+from .formulas import Binary, Formula, Not, Quant, formula_to_str, free_vars, unwind
 from .terms import App, Clause, EQ_PREDICATE, FVar, Literal, clause_to_str, number_variables
 
 
@@ -187,7 +187,7 @@ class _Parser:
         if lang == "cnf":
             decl: CnfDecl | FofDecl = CnfDecl(name.text, role.text, self.cnf_clause(name.text))
         else:
-            decl = FofDecl(name.text, role.text, self.formula())
+            decl = FofDecl(name.text, role.text, unwind(self.formula()))
         self.expect(")")
         self.expect(".")
         return ("decl", decl)
@@ -255,37 +255,37 @@ class _Parser:
 
     # fof
 
-    def formula(self) -> Formula:
-        left = self.unitary()
+    def formula(self):  # walkers run by `unwind`
+        left = yield self.unitary()
         tok = self.peek()
         if tok.text in ("&", "|"):
             op = tok.text
             while self.peek().text == op:
                 self.next()
-                left = Binary(op, left, self.unitary())
+                left = Binary(op, left, (yield self.unitary()))
             after = self.peek()
             if after.text in ("&", "|", "=>", "<=", "<=>", "<~>"):
                 raise ParseError("mixed binary connectives need parentheses", after.line, after.col)
             return left
         if tok.text in ("=>", "<=", "<=>", "<~>"):
             self.next()
-            right = self.unitary()
+            right = yield self.unitary()
             after = self.peek()
             if after.text in ("&", "|", "=>", "<=", "<=>", "<~>"):
                 raise ParseError("non-associative connective needs parentheses", after.line, after.col)
             return Binary(tok.text, left, right)
         return left
 
-    def unitary(self) -> Formula:
+    def unitary(self):
         tok = self.peek()
         if tok.text == "(":
             self.next()
-            inner = self.formula()
+            inner = yield self.formula()
             self.expect(")")
             return inner
         if tok.text == "~":
             self.next()
-            return Not(self.unitary())
+            return Not((yield self.unitary()))
         if tok.text in ("!", "?"):
             self.next()
             self.expect("[")
@@ -295,7 +295,7 @@ class _Parser:
                 names.append(self.quantified_var())
             self.expect("]")
             self.expect(":")
-            body = self.unitary()
+            body = yield self.unitary()
             for name in reversed(names):
                 body = Quant(tok.text, name, body)
             return body

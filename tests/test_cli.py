@@ -147,6 +147,33 @@ def test_train_hashes_a_term_10000_deep_into_a_model(capsys, tmp_path):
     assert "checker    : accepted" in out
 
 
+def implication_chain(depth):
+    """`(p0 => (p1 => ... (p{depth-1} => q)))`, nested `depth` deep."""
+    return "".join(f"(p{i} => " for i in range(depth)) + "q" + ")" * depth
+
+
+DEEP_FORMULAS = {
+    "parentheses-10000": ("(" * 10000 + "p" + ")" * 10000, "p"),
+    # one positive operand, so both engines have a single start clause
+    "conjunction-10000": ("(p & " + " & ".join(f"~q{i}" for i in range(1, 10000)) + ")", "p"),
+    "negations-20000": ("~" * 20000 + "p", "p"),
+    "universals-3000": ("".join(f"! [X{i}] : " for i in range(3000)) + "p(X2999)", "p(a)"),
+}
+
+
+@pytest.mark.parametrize("engine", ["deepening", "mcts"])
+@pytest.mark.parametrize("shape", sorted(DEEP_FORMULAS))
+def test_prove_formula_nested_deep(capsys, tmp_path, shape, engine):
+    axiom, conjecture = DEEP_FORMULAS[shape]
+    problem = tmp_path / "deep.p"
+    problem.write_text(f"fof(a, axiom, {axiom}).\nfof(g, conjecture, {conjecture}).\n")
+    limit = sys.getrecursionlimit()
+    code, out, _ = run_cli(capsys, "prove", str(problem), "--engine", engine)
+    assert code == 0
+    assert "checker    : accepted" in out
+    assert sys.getrecursionlimit() == limit
+
+
 def test_prove_mcts_reports_are_deterministic(capsys):
     args = ("prove", corpus_file("fo_trans.p"), "--engine", "mcts", "--seed", "7")
     code_a, out_a, _ = run_cli(capsys, *args)
@@ -304,7 +331,7 @@ EXIT_TWO_CASES = {
     "ratio-weight-above-one": ["prove", "{problem}", "--reward-ratio-weight", "2"],
     "reduction-weight-zero": ["prove", "{problem}", "--engine", "mcts", "--reduction-weight", "0"],
     "malformed-model": ["prove", "{problem}", "--engine", "mcts", "--model", "{bad_model}"],
-    "deep-formula": ["prove", "{deep_formula}"],
+    "cnf-cutoff": ["prove", "{implications}"],
     "proof-out-missing-dir": ["prove", "{problem}", "--proof-out", "{missing}/p"],
     "bench-missing-corpus": ["bench", "{missing}"],
     "bench-empty-corpus": ["bench", "{empty}"],
@@ -325,10 +352,10 @@ def test_bad_input_exits_two_with_one_error_line(capsys, tmp_path, case):
     (tmp_path / "empty").mkdir()
     bad_model = tmp_path / "bad_model.txt"
     bad_model.write_text("not a model\n")
-    deep_formula = tmp_path / "deep_formula.p"  # formulas nest deeper than the parser's recursion allows
-    deep_formula.write_text(f"fof(a, axiom, {'(' * 3000}p{')' * 3000}).\nfof(g, conjecture, p).\n")
+    implications = tmp_path / "implications.p"  # one clause of 10001 literals
+    implications.write_text(f"fof(a, axiom, {implication_chain(10000)}).\nfof(g, conjecture, p0).\n")
     places = dict(problem=corpus_file("prop_unit.p"), corpus=corpus, bad_model=bad_model,
-                  deep_formula=deep_formula, missing=tmp_path / "missing", empty=tmp_path / "empty")
+                  implications=implications, missing=tmp_path / "missing", empty=tmp_path / "empty")
     argv = [arg.format(**places) for arg in EXIT_TWO_CASES[case]]
     if case == SUBPROCESS_CASE:
         src = os.path.dirname(os.path.dirname(os.path.abspath(mcprover.__file__)))
@@ -345,6 +372,8 @@ def test_bad_input_exits_two_with_one_error_line(capsys, tmp_path, case):
     assert len(errors) == 1
     if case == "malformed-model":
         assert bad_model.name in errors[0]
+    if case == "cnf-cutoff":
+        assert "literal cutoff" in errors[0] and "4096" in errors[0]
 
 
 def test_long_chain_proves_without_raising_recursion_limit(capsys, tmp_path):

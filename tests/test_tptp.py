@@ -121,6 +121,18 @@ def test_quantifier_runs_collapse_in_printing():
     assert print_problem(problem) == text
 
 
+@pytest.mark.parametrize("formula", [
+    "~" * 20000 + "p",
+    "".join(f"(p{i} => " for i in range(10000)) + "q" + ")" * 10000,
+], ids=["negations-20000", "implications-10000"])
+def test_deep_formulas_print_as_a_fixed_point(formula):
+    # only the text is compared: the formulas' generated `==` recurses. Runs
+    # of `!` and redundant parentheses collapse in printing, so they do not
+    # reach the printer's depth.
+    text = f"fof(f, axiom, {formula}).\n"
+    assert print_problem(parse_problem(text)) == text
+
+
 def _canonical_text(text):
     import re
 
