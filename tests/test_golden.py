@@ -32,6 +32,10 @@ PROVE_CONFIGS = {
            "--max-inferences", "1500"],
     "deepening": ["--max-inferences", "3000"],
     "deepening-cut": ["--cut", "--max-inferences", "3000"],
+    # {model} is the model file written by the `train corpus` run
+    "guided": ["--engine", "mcts", "--sim-depth", "8", "--reward-ratio-weight", "0",
+               "--weights", "rank", "--cp", "0.2", "--model", "{model}", "--max-inferences", "1500"],
+    "best": ["--engine", "mcts", "--expansion", "best", "--max-inferences", "1500"],
 }
 TRAIN_ARGS = ["--max-inferences", "150000", "--timeout", "0"]
 TRAIN_CONFIGS = {"corpus": [], "cut": ["--cut"]}
@@ -43,8 +47,9 @@ SHOW_CONFIGS = {"show": [], "show-eq": ["--equality-axioms"]}
 HELP_COMMANDS = ("prove", "train", "bench")
 
 
-def _run(argv, out_path):
-    """Exit code, stdout and the file written to `out_path`, as one digest."""
+def _run(argv, out_path, keep=False):
+    """Exit code, stdout and the file written to `out_path`, as one digest.
+    The file is removed afterwards unless `keep` is set."""
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         try:
@@ -57,28 +62,35 @@ def _run(argv, out_path):
     if os.path.exists(out_path):
         with open(out_path, "rb") as handle:
             digest.update(handle.read())
-        os.remove(out_path)
+        if not keep:
+            os.remove(out_path)
     return digest.hexdigest()
 
 
 def compute_digests(workdir) -> dict:
     out_path = os.path.join(workdir, "out")
-    digests = {}
-    for info in load_corpus(bundled_corpus_dir()):
-        for config, flags in PROVE_CONFIGS.items():
-            argv = ["prove", info.path, "--timeout", "0", "--proof-out", out_path, *flags]
-            digests[f"{config} {info.name}"] = _run(argv, out_path)
-    for info in load_corpus(bundled_corpus_dir()):
-        for config, flags in SHOW_CONFIGS.items():
-            digests[f"{config} {info.name}"] = _run(["show", info.path, *flags], out_path)
+    # training comes first, since the guided proves read the corpus model
     corpus = os.path.join(workdir, "corpus")
     os.mkdir(corpus)
     for info in load_corpus(bundled_corpus_dir()):
         if info.name not in SKIPPED:
             shutil.copy(info.path, corpus)
+    trained = {}
     for config, flags in TRAIN_CONFIGS.items():
-        argv = ["train", corpus, *TRAIN_ARGS, *flags, "--model-out", out_path]
-        digests[f"train {config}"] = _run(argv, out_path)
+        model = os.path.join(workdir, f"{config}.model")
+        argv = ["train", corpus, *TRAIN_ARGS, *flags, "--model-out", model]
+        trained[f"train {config}"] = _run(argv, model, keep=True)
+    model = os.path.join(workdir, "corpus.model")
+    digests = {}
+    for info in load_corpus(bundled_corpus_dir()):
+        for config, flags in PROVE_CONFIGS.items():
+            flags = [flag.format(model=model) for flag in flags]
+            argv = ["prove", info.path, "--timeout", "0", "--proof-out", out_path, *flags]
+            digests[f"{config} {info.name}"] = _run(argv, out_path)
+    for info in load_corpus(bundled_corpus_dir()):
+        for config, flags in SHOW_CONFIGS.items():
+            digests[f"{config} {info.name}"] = _run(["show", info.path, *flags], out_path)
+    digests.update(trained)
     columns = os.environ.get("COLUMNS")
     os.environ["COLUMNS"] = "80"
     try:
