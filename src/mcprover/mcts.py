@@ -3,11 +3,19 @@
 Problems plug in via MctsProblem: a successor relation, transition weights
 that bias random playouts, a reward in [0, 1] and a success test. One search
 iteration selects a tree node by UCT, draws one of its unexplored successor
-states (weight-biased), runs a non-backtracking random playout from it, adds
-a single new leaf, and backpropagates the playout reward to the root. Nodes
-left with neither children nor unexplored successors are deleted, so hopeless
-subtrees stop attracting exploration; a fully deleted tree means the whole
-space was searched.
+states (weight-biased), adds a single new leaf, runs a non-backtracking
+random playout, and backpropagates the playout reward to the root. The order
+of the middle steps depends on the expansion policy:
+
+- first: the drawn state becomes the leaf, with its successors unexplored,
+  before the playout from it; the playout's first step asks for the same
+  successors again.
+- best: the playout runs from the drawn state first; the leaf is then the
+  state with the fewest open subgoals along it (the earliest on a tie).
+
+Nodes left with neither children nor unexplored successors are deleted, so
+hopeless subtrees stop attracting exploration; a fully deleted tree means the
+whole space was searched.
 
 Bookkeeping note: every node except the root receives one visit when it is
 created, so for consistency checks
@@ -33,6 +41,9 @@ class MctsProblem:
         raise NotImplementedError
 
     def successors(self, state) -> list:
+        """The successor states of `state`. The engine only reads the list,
+        so an implementation may return the same list object again when
+        asked for the same state."""
         raise NotImplementedError
 
     def weights(self, state, candidates) -> list:
@@ -167,6 +178,14 @@ class MctsTree:
         return not self.root.unexplored and not self.root.children
 
 
+def _leaf(problem: MctsProblem, state) -> MctsNode:
+    """A new tree node for `state`, with its successors unexplored."""
+    leaf = MctsNode(state)
+    if not problem.is_success(state):
+        leaf.unexplored = list(problem.successors(state))
+    return leaf
+
+
 def mcts_step(tree: MctsTree, config: SearchConfig, rng: random.Random, iteration: int):
     """One selection/simulation/expansion/backpropagation round.
 
@@ -194,6 +213,9 @@ def mcts_step(tree: MctsTree, config: SearchConfig, rng: random.Random, iteratio
         idx = draw_index(rng, problem.weights(node.state, node.unexplored))
     action_state = node.unexplored.pop(idx)
 
+    # first-node expansion builds the leaf before the playout, whose first
+    # step then asks the problem for the same successors again
+    child = _leaf(problem, action_state) if config.expansion == "first" else None
     trajectory, success = simulate(action_state, problem, config.max_sim_depth, rng)
     chain = [action_state] + trajectory
     final = chain[-1]
@@ -201,14 +223,9 @@ def mcts_step(tree: MctsTree, config: SearchConfig, rng: random.Random, iteratio
     if not 0.0 <= reward <= 1.0:
         raise ValueError(f"reward {reward} outside [0, 1]")
 
-    if config.expansion == "best":
+    if child is None:
         pick = min(range(len(chain)), key=lambda i: (problem.openness(chain[i]), i))
-        child_state = chain[pick]
-    else:
-        child_state = chain[0]
-    child = MctsNode(child_state)
-    if not problem.is_success(child_state):
-        child.unexplored = list(problem.successors(child_state))
+        child = _leaf(problem, chain[pick])
     node.children.append(child)
     path.append(child)
     stats.max_tree_depth = max(stats.max_tree_depth, len(path) - 1)

@@ -27,6 +27,15 @@ from .trainstore import KeyTable
 
 
 class ConnectionGame(MctsProblem):
+    """The connection calculus as an MctsProblem.
+
+    `extension_inferences` counts the extension successors of every
+    `successors` request, which is what inference budgets are charged. The
+    last request is remembered, keyed by the identity of its state: asking
+    again for the same state object, as a first-node expansion and its
+    playout do, returns the same list without recomputing it, and is still
+    charged its extensions."""
+
     def __init__(
         self,
         matrix: Matrix,
@@ -41,6 +50,8 @@ class ConnectionGame(MctsProblem):
         self.reward_config = reward or RewardConfig()
         self.model = model or ProvabilityModel()
         self.extension_inferences = 0
+        # (state, successor list, extension count) of the last computed request
+        self._last = (None, None, 0)
 
         # provability value per matrix literal position, plus the start goal
         if len(self.model) == 0:
@@ -75,11 +86,16 @@ class ConnectionGame(MctsProblem):
     def successors(self, state: ProverState) -> list:
         if state.is_closed:
             return []
+        last_state, last_list, last_extensions = self._last
+        if last_state is state:
+            self.extension_inferences += last_extensions
+            return last_list
         pairs = successors(state, self.matrix, self.calculus)
-        for action, _ in pairs:
-            if isinstance(action, Extension):
-                self.extension_inferences += 1
-        return [successor for _, successor in pairs]
+        extensions = sum(isinstance(action, Extension) for action, _ in pairs)
+        self.extension_inferences += extensions
+        out = [successor for _, successor in pairs]
+        self._last = (state, out, extensions)
+        return out
 
     def weights(self, state: ProverState, candidates) -> list:
         policy = self.sim_weights.policy

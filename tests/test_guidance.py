@@ -150,6 +150,28 @@ def test_game_weights_positive_and_policy_sensitive():
     assert all(w > 0 for w in constant + inverse + rank)
 
 
+def test_game_charges_every_successors_request():
+    """A repeated request for one state returns the same successors and is
+    charged its extensions again, whether or not another state came between."""
+    m = matrix_of(
+        "cnf(c1, axiom, p).\ncnf(c2, axiom, ~p | q).\n"
+        "cnf(c3, axiom, ~p | q | r).\ncnf(c4, axiom, ~q).\ncnf(c5, axiom, ~r).\n"
+    )
+    game = ConnectionGame(m)
+    start = game.initial_state()
+    s = game.successors(start)[0]
+    charged = game.extension_inferences
+    first = game.successors(s)
+    assert len(first) == 2
+    assert game.extension_inferences == charged + 2
+    assert game.successors(s) == first
+    assert game.extension_inferences == charged + 4
+    game.successors(start)
+    assert game.extension_inferences == 2 * charged + 4
+    assert game.successors(s) == first
+    assert game.extension_inferences == 2 * charged + 6
+
+
 # --- state provability & the full reward ----------------------------------------
 
 def test_state_provability_uses_remaining_literals():

@@ -386,6 +386,52 @@ def test_reward_goal_short_circuits():
     assert result.stats.iterations == 1
 
 
+def test_bf_playout_reuses_the_expansion_successors(monkeypatch):
+    """Under first-node expansion the new leaf's successors are computed once
+    per iteration, shared by the leaf and the playout's first step."""
+    from mcprover import proving
+    from mcprover.cli import bundled_corpus_dir
+    from mcprover.clausify import load_matrix
+    from mcprover.guidance import RewardConfig
+
+    calls = []
+    compute = proving.successors
+    monkeypatch.setattr(proving, "successors", lambda *args: calls.append(1) or compute(*args))
+    matrix = load_matrix(f"{bundled_corpus_dir()}/hard_fork14.p")
+    game = proving.ConnectionGame(matrix, reward=RewardConfig.with_ratio_weight(0.0))
+    result = run(game, SearchConfig(seed=0, max_sim_depth=1),
+                 stop=lambda: game.extension_inferences >= 3000)
+    assert (result.stats.iterations, game.extension_inferences) == (1489, 3001)
+    assert len(calls) == result.stats.iterations + 1  # one more for the root
+
+
+class SharedLists(InfiniteTree):
+    """Returns one list object per state on every request, as a memoizing
+    problem may; the engine must only read it."""
+
+    def __init__(self):
+        super().__init__(width=3)
+        self.lists = {}
+
+    def successors(self, state):
+        if len(state) >= 6:
+            return []
+        return self.lists.setdefault(state, super().successors(state))
+
+
+@pytest.mark.parametrize("expansion", ["first", "best"])
+def test_successor_lists_are_never_mutated(expansion):
+    problem = SharedLists()
+    tree = MctsTree(problem, problem.initial_state())
+    rng = random.Random(0)
+    config = SearchConfig(max_sim_depth=3, expansion=expansion)
+    for i in range(1, 301):
+        mcts_step(tree, config, rng, i)
+    assert len(problem.lists) > 100
+    for state, succs in problem.lists.items():
+        assert succs == InfiniteTree.successors(problem, state)
+
+
 # --- memory ---------------------------------------------------------------------
 
 def test_finished_search_leaves_no_reference_cycles():
