@@ -101,6 +101,10 @@ class EngineSetup:
 
     def __post_init__(self):
         # an out-of-range value fails here, before any problem is searched
+        for name in ("timeout", "max_inferences", "max_iterations"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name.replace('_', '-')} must not be negative, got {value}")
         self.deepening_options()
         self.search_config().validate()
         self.simulation_weights()
@@ -164,7 +168,7 @@ class RunReport:
     wall_time: float
     extensions: int | None = None        # along the certificate path
     reductions: int | None = None
-    total_inferences: int | None = None  # extension successors constructed
+    total_inferences: int | None = None  # extension successors charged to the budget
     iterations: int | None = None        # mcts only
     certificate: str = ""
     checker: str = ""
@@ -416,6 +420,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_tsp(args) -> int:
+    if args.iterations < 1:
+        raise ValueError(f"iterations must be at least 1, got {args.iterations}")
     if args.instance:
         with open(args.instance, encoding="utf-8") as handle:
             instance = TspInstance.parse(handle.read())

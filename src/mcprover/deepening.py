@@ -81,7 +81,7 @@ class Timeout:
 
 @dataclass
 class RunStats:
-    extension_inferences: int = 0  # extension successors constructed while enumerating
+    extension_inferences: int = 0  # extension successors of every expanded state
     rounds: int = 0
 
 

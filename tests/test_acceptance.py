@@ -258,6 +258,43 @@ def test_criterion_7_guidance_monotonicity(corpus, trained_model):
     report(7, "guidance monotonicity")
 
 
+def test_criterion_7_under_inference_budgets(corpus):
+    """Criterion 7 with every budget counted in inferences, so the solved
+    sets do not depend on the machine: the model is trained by deepening
+    capped at each problem's DepthBound, and each configuration gets 3000
+    extension inferences per problem, as in the mcts-eval benchmark."""
+    store = Store()
+    for name in sorted(corpus):
+        info, matrix = corpus[name]
+        result = prove_iterative(
+            matrix, DeepeningOptions(max_depth=info.depth_bound, collect_training=True)
+        )
+        if result.proved:
+            store.record_events(result.events)
+    model = ProvabilityModel(store)
+    flat = RewardConfig.with_ratio_weight(0.0)
+    configs = {
+        "bf": ({"reward": flat}, {"max_sim_depth": 1}),
+        "unguided": ({"reward": flat}, {"max_sim_depth": 8}),
+        "guided": ({"reward": flat, "weights": SimulationWeights("rank"), "model": model},
+                   {"max_sim_depth": 8, "cp_base": 0.2}),
+    }
+    solved = {kind: set() for kind in configs}
+    for name in sorted(corpus):
+        _, matrix = corpus[name]
+        for kind, (game_kwargs, search_kwargs) in configs.items():
+            game = ConnectionGame(matrix, **game_kwargs)
+            config = SearchConfig(seed=0, **search_kwargs)
+            if mcts.run(game, config, stop=lambda: game.extension_inferences >= 3000).solved:
+                solved[kind].add(name)
+    counts = {kind: len(names) for kind, names in solved.items()}
+    print(f"  solved at 3000 inferences: breadth-first {counts['bf']}, "
+          f"unguided {counts['unguided']}, guided {counts['guided']}")
+    assert solved["bf"] <= solved["unguided"] <= solved["guided"]
+    assert counts == {"bf": 47, "unguided": 47, "guided": 49}
+    report(7, "guidance monotonicity under inference budgets")
+
+
 def test_criterion_8_inference_accounting(engine_proofs):
     for name, engine, matrix, final in engine_proofs:
         verdict = check_proof(matrix, certificate_for(final, matrix))

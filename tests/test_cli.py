@@ -340,6 +340,12 @@ EXIT_TWO_CASES = {
     "train-out-missing-dir": ["train", "{corpus}", "--model-out", "{missing}/m.txt"],
     "tsp-brute-force-too-large": ["tsp", "--random", "12", "--brute-force"],
     "tsp-no-cities": ["tsp", "--random", "0"],
+    "max-inferences-negative": ["prove", "{problem}", "--max-inferences", "-5"],
+    "timeout-negative": ["prove", "{problem}", "--timeout", "-1"],
+    "max-iterations-negative": ["prove", "{problem}", "--engine", "mcts", "--max-iterations", "-2"],
+    "bench-max-inferences-negative": ["bench", "{corpus}", "--config", "x=max_inferences:-1"],
+    "tsp-iterations-zero": ["tsp", "--iterations", "0"],
+    "tsp-iterations-negative": ["tsp", "--iterations", "-5"],
 }
 SUBPROCESS_CASE = "bench-missing-corpus"  # also covers the `python -m` entry point
 
