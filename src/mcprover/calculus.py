@@ -15,12 +15,14 @@ exactly when its goal stack is empty. States are never mutated once built;
 successor construction never touches the parent, which lets tree searches
 share them.
 
-Regularity (no literal repeats one of its path under the substitution) is
-checked without rescanning the path per successor. The substitution only
-grows along a branch, so a path literal that was ground when pushed stays the
-same ground literal below: each goal keeps the fingerprints of those ground
-literals (unless one is too large to fingerprint), and its other path
-literals in a shared cons chain.
+A goal's path is a cons chain of cells (literal, fingerprint, index, rest),
+innermost first, that every goal below shares; index is the literal's position
+from the root. One walk of the chain per call finds the reduction partners
+and the literals regularity (no literal repeats one of its path under the
+substitution) compares. The substitution only grows along a branch, so a path
+literal that was ground when pushed stays the same ground literal below: its
+cell keeps its fingerprint (unless it is too large to fingerprint), and one
+fingerprint comparison settles it for every successor.
 """
 
 from __future__ import annotations
@@ -77,20 +79,18 @@ class Goal:
     the input matrix (clause_index -1 denotes the synthetic start goal); the
     guidance model and training extraction key statistics by those positions.
     depth counts extension steps below the start goal, i.e. the path length
-    with the synthetic top literal discounted. ground holds the fingerprints
-    of the path literals that were ground under the substitution when pushed
-    and had one (see _fingerprint); loose holds the other path literals as a
-    cons chain (literal, rest).
+    with the synthetic top literal discounted. path is the chain of cells
+    (literal, fingerprint, index, rest), innermost first and None when empty;
+    fingerprint is the literal's _fingerprint when it was pushed with one,
+    else None.
     """
 
     clause: tuple
-    path: tuple
+    path: tuple | None
     lemmas: tuple
     depth: int
     clause_index: int
     literal_indices: tuple
-    ground: tuple
-    loose: tuple | None
 
 
 @dataclass(slots=True)
@@ -128,13 +128,11 @@ class ProverState:
 def initial_state(matrix: Matrix) -> ProverState:
     start = Goal(
         clause=START_CLAUSE.literals,
-        path=(),
+        path=None,
         lemmas=(),
         depth=0,
         clause_index=-1,
         literal_indices=(0,),
-        ground=(),
-        loose=None,
     )
     return ProverState(
         goals=(start,),
@@ -144,12 +142,6 @@ def initial_state(matrix: Matrix) -> ProverState:
         reductions=0,
         trail=None,
     )
-
-
-def _connect(sigma: Substitution, goal_lit: Literal, target: Literal) -> Substitution | None:
-    if goal_lit.predicate != target.predicate or goal_lit.positive == target.positive:
-        return None
-    return unify_args(sigma, goal_lit.args, target.args)
 
 
 # A head whose walk passes this many tokens is left out of the index and
@@ -224,18 +216,6 @@ def _repeats(sigma: Substitution, head_args: list, arg_lists: list) -> bool:
     return False
 
 
-def _matching(lits, head: Literal) -> list:
-    """The literals of `lits` with the head's sign, predicate and arity."""
-    pred, pos, n = head.predicate, head.positive, len(head.args)
-    return [lit for lit in lits if lit.predicate == pred and lit.positive == pos and len(lit.args) == n]
-
-
-def _loose_literals(chain):
-    while chain is not None:
-        yield chain[0]
-        chain = chain[1]
-
-
 def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DEFAULT_OPTIONS):
     """All rule applications for the designated (most recent) goal, in the
     deterministic order: lemma step, reductions in path order, extensions in
@@ -248,6 +228,8 @@ def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DE
     head = goal.clause[0]
     rest = goal.clause[1:]
     below = state.goals[:-1]
+    head_pred = head.predicate
+    head_pos = head.positive
     sigma = state.sigma
     out = []
 
@@ -255,15 +237,14 @@ def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DE
         if not rest:
             return below
         lemmas = goal.lemmas + (extra_lemma,) if extra_lemma is not None else goal.lemmas
-        kept = Goal(rest, goal.path, lemmas, goal.depth, goal.clause_index, goal.literal_indices[1:],
-                    goal.ground, goal.loose)
+        kept = Goal(rest, goal.path, lemmas, goal.depth, goal.clause_index, goal.literal_indices[1:])
         return below + (kept,)
 
     if options.lemmas:
         for k, lemma in enumerate(goal.lemmas):
             if (
-                lemma.positive == head.positive
-                and lemma.predicate == head.predicate
+                lemma.positive == head_pos
+                and lemma.predicate == head_pred
                 and literals_equal_under(sigma, head, lemma)
             ):
                 action = LemmaStep(gi, k)
@@ -271,45 +252,49 @@ def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DE
                                                 state.reductions, (action, state.trail))))
                 break
 
-    # path literals a successor's head must not repeat; only they are compared
-    # per successor. A ground head is the same literal under every successor's
-    # substitution, so one fingerprint settles the ground part of the path.
+    # one walk of the path: the complementary cells are the reduction partners,
+    # the cells with the head's sign, predicate and arity those it must not repeat
+    arity = len(head.args)
+    regularity = options.regularity
+    partners = []
+    same = []
+    cell = goal.path
+    while cell is not None:
+        lit = cell[0]
+        if lit.predicate == head_pred:
+            if lit.positive != head_pos:
+                partners.append(cell)
+            elif regularity and len(lit.args) == arity:
+                same.append(cell)
+        cell = cell[3]
+
+    # a ground head is the same literal under every successor's substitution:
+    # its fingerprint settles the same cells that have one, once, and only the
+    # others are compared per successor
     check = ()
     key = None
-    if options.regularity:
-        same = _matching(goal.path, head)
-        if same:
-            head_args = _resolved(sigma, head.args)
-            key = _fingerprint(sigma, head)
-            if key is not None:
-                if key in goal.ground and _repeats(sigma, head_args, [_resolved(sigma, lit.args) for lit in same]):
-                    return out
-                same = _matching(_loose_literals(goal.loose), head)
-            check = [_resolved(sigma, lit.args) for lit in same]
+    if same:
+        head_args = _resolved(sigma, head.args)
+        key = _fingerprint(sigma, head)
+        if key is not None and _repeats(sigma, head_args, [_resolved(sigma, c[0].args) for c in same if c[1] == key]):
+            return out
+        check = [_resolved(sigma, c[0].args) for c in same if key is None or c[1] is None]
 
-    head_pred = head.predicate
-    head_pos = head.positive
-    for k, path_lit in enumerate(goal.path):
-        if path_lit.predicate != head_pred or path_lit.positive == head_pos:
-            continue
-        sigma2 = unify_args(sigma, head.args, path_lit.args)
+    for cell in reversed(partners):  # reductions in path order
+        sigma2 = unify_args(sigma, head.args, cell[0].args)
         if sigma2 is None:
             continue
         if check and _repeats(sigma2, head_args, check):
             continue
-        action = Reduction(gi, k)
+        action = Reduction(gi, cell[2])
         out.append((action, ProverState(retained(), sigma2, state.fresh_var, state.extensions,
                                         state.reductions + 1, (action, state.trail))))
 
     if options.depth_bound is not None and goal.depth >= options.depth_bound:
         return out
 
-    path = goal.path + (head,)
-    if key is not None:
-        ground, loose = goal.ground + (key,), goal.loose
-    else:
-        ground, loose = goal.ground, (head, goal.loose)
-    depth = goal.depth + (0 if head.is_top() else 1)
+    path = (head, key, 0 if goal.path is None else goal.path[2] + 1, goal.path)
+    depth = goal.depth if goal.path is None else goal.depth + 1  # the start goal's TOP is no step
     for ci, li in matrix.candidates(head_pred, head_pos):
         clause = matrix.clauses[ci]
         offset = state.fresh_var
@@ -317,7 +302,7 @@ def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DE
             target = rename_literal(clause.literals[li], offset)
         else:
             target = clause.literals[li]
-        sigma2 = _connect(sigma, head, target)
+        sigma2 = unify_args(sigma, head.args, target.args)  # the index matched predicate and sign
         if sigma2 is None:
             continue
         if check and _repeats(sigma2, head_args, check):
@@ -329,7 +314,7 @@ def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DE
         new_goals = retained(extra_lemma=head)
         if new_lits:
             indices = tuple(j for j in range(len(clause.literals)) if j != li)
-            new_goals = new_goals + (Goal(new_lits, path, goal.lemmas, depth, ci, indices, ground, loose),)
+            new_goals = new_goals + (Goal(new_lits, path, goal.lemmas, depth, ci, indices),)
         action = Extension(gi, ci, li)
         out.append((action, ProverState(new_goals, sigma2, offset + clause.var_count, state.extensions + 1,
                                         state.reductions, (action, state.trail))))
@@ -343,6 +328,6 @@ def has_applicable_extension(state: ProverState, matrix: Matrix) -> bool:
     head = goal.clause[0]
     for ci, li in matrix.candidates(head.predicate, head.positive):
         target = rename_literal(matrix.clauses[ci].literals[li], state.fresh_var)
-        if _connect(state.sigma, head, target) is not None:
+        if unify_args(state.sigma, head.args, target.args) is not None:
             return True
     return False

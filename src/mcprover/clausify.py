@@ -23,7 +23,6 @@ from .terms import (
     Literal,
     Matrix,
     NEG_TOP,
-    TOP_PREDICATE,
     Var,
     build_extension_index,
     matrix_digest,
@@ -196,7 +195,7 @@ def equality_axioms(clauses) -> list:
 
     for clause in clauses:
         for lit in clause.literals:
-            if lit.predicate not in (EQ_PREDICATE, TOP_PREDICATE) and lit.args:
+            if lit.predicate != EQ_PREDICATE and lit.args:
                 predicates.setdefault((lit.predicate, lit.arity), None)
             for a in lit.args:
                 for t in subterms(a):

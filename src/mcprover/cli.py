@@ -8,6 +8,7 @@ go to stderr (and to the bench tables) so repeated runs stay byte-identical.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -103,8 +104,8 @@ class EngineSetup:
         # an out-of-range value fails here, before any problem is searched
         for name in ("timeout", "max_inferences", "max_iterations"):
             value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"{name.replace('_', '-')} must not be negative, got {value}")
+            if value is not None and not 0 <= value < math.inf:
+                raise ValueError(f"{name.replace('_', '-')} must be finite and not negative, got {value}")
         self.deepening_options()
         self.search_config().validate()
         self.simulation_weights()

@@ -52,6 +52,8 @@ class DeepeningOptions:
     def __post_init__(self):
         if self.start_depth < 1 or self.increment < 1:
             raise ValueError("depth schedule requires start >= 1 and increment >= 1")
+        if self.max_depth is not None and self.max_depth < self.start_depth:
+            raise ValueError(f"max depth {self.max_depth} is below the start depth {self.start_depth}")
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ weighted per policy by the size of the connected clause.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -26,8 +27,8 @@ class SimulationWeights:
     def __post_init__(self):
         if self.policy not in WEIGHT_POLICIES:
             raise ValueError(f"unknown weight policy {self.policy!r}")
-        if self.reduction_weight <= 0:
-            raise ValueError("reduction weight must be positive")
+        if not 0 < self.reduction_weight < math.inf:
+            raise ValueError("reduction weight must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ class RewardConfig:
     raw_ratio: bool = False
 
     def __post_init__(self):
-        if self.ratio_weight < 0 or self.model_weight < 0:
+        if not (self.ratio_weight >= 0 and self.model_weight >= 0):  # NaN fails too
             raise ValueError("reward weights must be nonnegative")
         if abs(self.ratio_weight + self.model_weight - 1.0) > 1e-9:
             raise ValueError("reward weights must sum to 1")
@@ -48,8 +49,8 @@ class RewardConfig:
             raise ValueError(f"unknown combiner {self.combiner!r}")
         if not 0.0 <= self.certainty_c <= 1.0:
             raise ValueError("certainty constant C must lie in [0, 1]")
-        if self.certainty_d <= 0:
-            raise ValueError("certainty constant D must be positive")
+        if not 0 < self.certainty_d < math.inf:
+            raise ValueError("certainty constant D must be positive and finite")
 
     @classmethod
     def with_ratio_weight(cls, ratio_weight: float, **kwargs) -> "RewardConfig":

@@ -76,14 +76,13 @@ class SearchConfig:
     reward_goal: float | None = None
 
     def validate(self):
-        if self.cp_base <= 0:
-            raise ValueError("exploration constant must be positive")
-        if self.cp_amplitude < 0:
-            raise ValueError("oscillation amplitude must be nonnegative")
-        if self.cp_amplitude >= self.cp_base:
-            raise ValueError("oscillation amplitude must stay below the base constant")
-        if self.cp_amplitude > 0 and self.cp_period <= 0:
-            raise ValueError("oscillation requires a positive period")
+        # NaN fails every comparison, so each check below rejects it
+        if not 0 < self.cp_base < math.inf:
+            raise ValueError("exploration constant must be positive and finite")
+        if not 0 <= self.cp_amplitude < self.cp_base:
+            raise ValueError("oscillation amplitude must be nonnegative and below the base constant")
+        if not math.isfinite(self.cp_period) or (self.cp_amplitude > 0 and self.cp_period <= 0):
+            raise ValueError("oscillation requires a positive finite period")
         if self.max_sim_depth < 1:
             raise ValueError("simulation depth must be at least 1")
         if self.expansion not in ("first", "best"):

@@ -53,9 +53,6 @@ class Literal:
     def complement(self) -> "Literal":
         return Literal(not self.positive, self.predicate, self.args)
 
-    def is_top(self) -> bool:
-        return self.predicate == TOP_PREDICATE
-
 
 TOP = Literal(True, TOP_PREDICATE)
 NEG_TOP = Literal(False, TOP_PREDICATE)

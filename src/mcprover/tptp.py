@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .formulas import Binary, Formula, Not, Quant, formula_to_str, free_vars, unwind
-from .terms import App, Clause, EQ_PREDICATE, FVar, Literal, clause_to_str, number_variables
+from .terms import App, Clause, EQ_PREDICATE, FVar, Literal, TOP_PREDICATE, clause_to_str, number_variables
 
 
 class ParseError(Exception):
@@ -199,13 +199,25 @@ class _Parser:
         if self.peek().text == "(":
             self.next()
             wrapped = True
+        marker = self.start_marker()
         literals = [self.cnf_literal()]
         while self.peek().text == "|":
             self.next()
             literals.append(self.cnf_literal())
+        if marker is not None and not all(lit.positive for lit in literals):
+            raise ParseError(f"{TOP_PREDICATE} may mark only a clause of positive literals", marker.line, marker.col)
         if wrapped:
             self.expect(")")
         return number_variables(literals, label)
+
+    def start_marker(self) -> _Token | None:
+        """Skip a leading `~$top |`, which `show` prints before the literals
+        of a start clause; prepare_matrix adds it back. Returns its `$top`."""
+        window = self.tokens[self.pos:self.pos + 3]
+        if [(t.kind, t.text) for t in window] != [("punct", "~"), ("word", TOP_PREDICATE), ("punct", "|")]:
+            return None
+        self.pos += 3
+        return window[1]
 
     def cnf_literal(self) -> Literal:
         positive = True
@@ -218,6 +230,7 @@ class _Parser:
     # atoms and terms
 
     def atom(self) -> Literal:
+        start = self.peek()
         term = self.term()
         nxt = self.peek()
         if nxt.text in ("=", "!="):
@@ -225,6 +238,8 @@ class _Parser:
             return Literal(nxt.text == "=", EQ_PREDICATE, (term, self.term()))
         if isinstance(term, FVar):
             raise ParseError("a variable is not an atom", nxt.line, nxt.col)
+        if term.functor == TOP_PREDICATE:  # the start literal's, see start_marker
+            raise ParseError(f"the predicate {TOP_PREDICATE} is reserved", start.line, start.col)
         return Literal(True, term.functor, term.args)
 
     def term(self):

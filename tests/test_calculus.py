@@ -31,6 +31,29 @@ def all_descendants(state, matrix, options=CalculusOptions(), limit=2000):
     return seen
 
 
+def path_cells(goal):
+    """The goal's path chain flattened root-first into (literal, fingerprint, index) cells."""
+    cells = []
+    cell = goal.path
+    while cell is not None:
+        cells.append(cell[:3])
+        cell = cell[3]
+    return tuple(reversed(cells))
+
+
+def path_literals(goal):
+    return tuple(lit for lit, _, _ in path_cells(goal))
+
+
+def loose_literals(goal):
+    """The path literals pushed without a fingerprint, root first."""
+    return [lit for lit, fingerprint, _ in path_cells(goal) if fingerprint is None]
+
+
+def ground_cells(goal):
+    return [cell for cell in path_cells(goal) if cell[1] is not None]
+
+
 def test_initial_state_shape(unit_pair_matrix):
     s0 = initial_state(unit_pair_matrix)
     assert [g.clause for g in s0.goals] == [(TOP,)]
@@ -45,8 +68,22 @@ def test_start_extension_example(unit_pair_matrix):
     action, s1 = succ[0]
     assert action == Extension(0, 0, 0)
     assert [[lit.predicate for lit in g.clause] for g in s1.goals] == [["p"]]
-    assert s1.goals[0].path == (TOP,)
+    assert path_literals(s1.goals[0]) == (TOP,)
     assert s1.opened_total == 2 and s1.extensions == 1
+
+
+def test_goals_share_the_parent_path_chain():
+    m = matrix_of("cnf(c1, axiom, p).\ncnf(c2, axiom, ~p | q | r).\ncnf(c3, axiom, ~q).\n")
+    s = initial_state(m)
+    _, s = successors(s, m)[0]  # top -> p
+    goal = s.goals[-1]
+    (action, s), = successors(s, m)  # p -> c2, goal q | r
+    assert action == Extension(0, 1, 0)
+    new = s.goals[-1]
+    assert new.path[:3] == (goal.clause[0], None, 1)
+    assert new.path[3] is goal.path
+    (_, s), = successors(s, m)  # q -> c3, goal r
+    assert s.goals[-1].path is new.path
 
 
 def test_closing_extension_removes_empty_goals(unit_pair_matrix):
@@ -198,7 +235,7 @@ def reference_successors(state, matrix, options):
         (action, succ)
         for action, succ in unfiltered
         if isinstance(action, LemmaStep)
-        or not any(literals_equal_under(succ.sigma, head, lit) for lit in goal.path)
+        or not any(literals_equal_under(succ.sigma, head, lit) for lit in path_literals(goal))
     ]
 
 
@@ -211,19 +248,10 @@ def shape(pairs):
             succ.extensions,
             succ.reductions,
             bindings(succ.sigma),
-            [(g.clause, g.path, g.lemmas, g.depth, g.clause_index, g.literal_indices) for g in succ.goals],
+            [(g.clause, path_literals(g), g.lemmas, g.depth, g.clause_index, g.literal_indices) for g in succ.goals],
         )
         for action, succ in pairs
     ]
-
-
-def loose_literals(goal):
-    out = []
-    chain = goal.loose
-    while chain is not None:
-        out.append(chain[0])
-        chain = chain[1]
-    return out
 
 
 _LEAVES = st.sampled_from(["X", "Y", "a", "b"])
@@ -258,7 +286,7 @@ def test_regularity_matches_full_path_scan(explore_regular, problem):
     explore = regular if explore_regular else CalculusOptions(regularity=False)
     for state in all_descendants(initial_state(m), m, explore, limit=150):
         for goal in state.goals:
-            assert len(goal.ground) + len(loose_literals(goal)) == len(goal.path)
+            assert [index for _, _, index in path_cells(goal)] == list(range(len(path_cells(goal))))
         if state.is_closed:
             continue
         for options in (regular, CalculusOptions(regularity=False)):
@@ -278,8 +306,8 @@ def test_head_ground_only_under_the_successor_substitution_is_pruned():
     (_, s), = [x for x in successors(s, m) if x[0].clause == 2]  # p(a) -> c3, goal p(X) | q(X)
     goal = s.goals[-1]
     # p(a) met p(b) on its path, so it was pushed as ground
-    assert loose_literals(goal) == [Literal(True, "p", (App("b"),)), TOP]
-    assert len(goal.ground) == 1
+    assert loose_literals(goal) == [TOP, Literal(True, "p", (App("b"),))]
+    assert len(ground_cells(goal)) == 1
     # p(X) becomes p(b) through c2 and p(a) through c3, repeating the path; only c4 stays
     assert [a for a, _ in successors(s, m)] == [Extension(0, 3, 0)]
     unpruned = [a.clause for a, _ in successors(s, m, CalculusOptions(regularity=False))]
@@ -322,7 +350,7 @@ def test_ground_path_term_2000_deep():
     _, s = successors(s, m)[0]  # top -> p(A)
     _, s = successors(s, m)[0]  # p(A) -> c2, goal p(B)
     (_, s), = successors(s, m)  # p(B) -> c3 differs from p(A) only at the bottom
-    assert len(s.goals[-1].ground) == 1
+    assert len(ground_cells(s.goals[-1])) == 1
     assert successors(s, m) == []  # p(B) repeats the ground p(B) of its path
 
 
@@ -344,5 +372,5 @@ def test_head_unfolding_to_a_huge_term_is_compared_directly():
         (_, s), (_, repeat) = succ
         assert successors(repeat, m) == []  # p(X) with X bound to the head repeats the path
         goal = s.goals[-1]
-        assert len(goal.ground) + len(loose_literals(goal)) == len(goal.path)
-    assert len(s.goals[-1].ground) < 20
+        assert [index for _, _, index in path_cells(goal)] == list(range(goal.depth + 1))
+    assert len(ground_cells(s.goals[-1])) < 20

@@ -346,6 +346,23 @@ EXIT_TWO_CASES = {
     "bench-max-inferences-negative": ["bench", "{corpus}", "--config", "x=max_inferences:-1"],
     "tsp-iterations-zero": ["tsp", "--iterations", "0"],
     "tsp-iterations-negative": ["tsp", "--iterations", "-5"],
+    "cnf-negated-top": ["prove", "{negated_top}"],
+    "cnf-satisfiable-through-top": ["prove", "{top_clause}"],
+    "fof-quoted-top": ["prove", "{quoted_top}", "--engine", "mcts"],
+    "timeout-nan": ["prove", "{problem}", "--engine", "mcts", "--timeout", "nan"],
+    "timeout-inf": ["prove", "{problem}", "--timeout", "inf"],
+    "cp-nan": ["prove", "{problem}", "--engine", "mcts", "--cp", "nan"],
+    "cp-inf": ["prove", "{problem}", "--engine", "mcts", "--cp", "inf"],
+    "reduction-weight-nan": ["prove", "{problem}", "--engine", "mcts", "--reduction-weight", "nan"],
+    "reward-ratio-weight-nan": ["prove", "{problem}", "--engine", "mcts", "--reward-ratio-weight", "nan"],
+    "cert-d-nan": ["prove", "{problem}", "--engine", "mcts", "--cert-d", "nan"],
+    "cert-d-inf": ["prove", "{problem}", "--engine", "mcts", "--cert-d", "inf"],
+    "cp-amp-nan": ["prove", "{problem}", "--engine", "mcts", "--cp-amp", "nan", "--cp-period", "5"],
+    "cp-period-inf": ["prove", "{problem}", "--engine", "mcts", "--cp-amp", "0.1", "--cp-period", "inf"],
+    "bench-timeout-nan": ["bench", "{corpus}", "--config", "x=timeout:nan"],
+    "tsp-cp-nan": ["tsp", "--cp", "nan"],
+    "max-depth-below-start": ["prove", "{problem}", "--depth-start", "16", "--max-depth", "2"],
+    "max-depth-zero": ["prove", "{problem}", "--max-depth", "0"],
 }
 SUBPROCESS_CASE = "bench-missing-corpus"  # also covers the `python -m` entry point
 
@@ -360,8 +377,15 @@ def test_bad_input_exits_two_with_one_error_line(capsys, tmp_path, case):
     bad_model.write_text("not a model\n")
     implications = tmp_path / "implications.p"  # one clause of 10001 literals
     implications.write_text(f"fof(a, axiom, {implication_chain(10000)}).\nfof(g, conjecture, p0).\n")
+    negated_top = tmp_path / "negated_top.p"  # proved by mcts before $top was reserved
+    negated_top.write_text("cnf(a, axiom, ~$top).\n")
+    top_clause = tmp_path / "top_clause.p"  # satisfiable, yet proved by deepening
+    top_clause.write_text("cnf(a, axiom, p).\ncnf(b, axiom, ~p | ~$top).\n")
+    quoted_top = tmp_path / "quoted_top.p"
+    quoted_top.write_text("fof(a, axiom, p).\nfof(b, axiom, ~p | ~'$top').\n")
     places = dict(problem=corpus_file("prop_unit.p"), corpus=corpus, bad_model=bad_model,
-                  implications=implications, missing=tmp_path / "missing", empty=tmp_path / "empty")
+                  implications=implications, missing=tmp_path / "missing", empty=tmp_path / "empty",
+                  negated_top=negated_top, top_clause=top_clause, quoted_top=quoted_top)
     argv = [arg.format(**places) for arg in EXIT_TWO_CASES[case]]
     if case == SUBPROCESS_CASE:
         src = os.path.dirname(os.path.dirname(os.path.abspath(mcprover.__file__)))

@@ -110,6 +110,30 @@ cnf(c1, axiom, 'odd atom'(X) | p).
     assert problem.declarations[0].clause.literals[0].predicate == "odd atom"
 
 
+@pytest.mark.parametrize("text, col", [
+    ("cnf(a, axiom, ~$top).", 16),
+    ("cnf(b, axiom, ~p | ~$top(X)).", 21),
+    ("cnf(c, axiom, $top | p).", 15),
+    ("cnf(d, axiom, ~$top | ~$top | p).", 24),
+    ("cnf(e, axiom, ~$top | p | ~q).", 16),
+    ("fof(b, axiom, ~p | ~'$top').", 21),
+    ("fof(c, axiom, ~$top | p).", 16),
+])
+def test_reserved_start_predicate_rejected(text, col):
+    """$top is the start literal's predicate; an input literal on it could
+    close the start clause, so it is refused at its position."""
+    with pytest.raises(ParseError, match=r"\$top") as err:
+        parse_problem(text)
+    assert (err.value.line, err.value.col) == (1, col)
+
+
+def test_start_marker_printed_by_show_is_read_back():
+    """`show` prints `~$top |` before a start clause's literals; reading it
+    gives the clause without the marker, which prepare_matrix marks again."""
+    clause = parse_problem("cnf(c1, axiom, ~'$top' | p(X) | q).").declarations[0].clause
+    assert clause.literals == (Literal(True, "p", (Var(0),)), Literal(True, "q"))
+
+
 def test_variable_token_is_not_a_literal():
     with pytest.raises(ParseError):
         parse_problem("cnf(c1, axiom, X).")
