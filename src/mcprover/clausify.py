@@ -255,14 +255,12 @@ def clausify(problem: Problem, options: ClausifyOptions | None = None) -> Matrix
 
 
 def prepare_matrix(matrix: Matrix) -> Matrix:
-    """Add the start-emulation literal to positive clauses and build the index."""
-    if matrix.prepared:
-        return matrix
-    has_start = False
+    """Add the start-emulation literal to positive clauses and build the index.
+    Preparing a prepared matrix gives an equal one, as its start clauses are no
+    longer all positive."""
     prepared = []
     for clause in matrix.clauses:
         if clause.literals and clause.is_positive():
-            has_start = True
             prepared.append(replace(clause, literals=(NEG_TOP,) + clause.literals))
         else:
             prepared.append(clause)
@@ -271,8 +269,6 @@ def prepare_matrix(matrix: Matrix) -> Matrix:
         clauses=prepared_tuple,
         index=build_extension_index(prepared_tuple),
         digest=matrix_digest(prepared_tuple),
-        has_positive_start=has_start,
-        prepared=True,
     )
 
 

@@ -164,9 +164,8 @@ class EngineSetup:
 class RunReport:
     problem: str
     engine: str
-    outcome: str          # proof | saturated | exhausted | timeout | budget
-    solved: bool
-    wall_time: float
+    outcome: str = ""     # proof | saturated | exhausted | timeout | budget
+    wall_time: float = 0.0
     extensions: int | None = None        # along the certificate path
     reductions: int | None = None
     total_inferences: int | None = None  # extension successors charged to the budget
@@ -176,79 +175,69 @@ class RunReport:
     events: list = field(default_factory=list)
     detail: str = ""
 
+    @property
+    def solved(self) -> bool:
+        return self.outcome == "proof"
+
 
 def run_engine(matrix: Matrix, setup: EngineSetup, problem_name: str,
                model: ProvabilityModel | None = None,
                collect_training: bool = False) -> RunReport:
+    """Search `matrix` with `setup`'s engine and report how the search ended.
+
+    Deepening ends in `proof`, `saturated`, `budget` (detail `inferences`) or
+    `timeout`; MCTS in `proof`, `exhausted`, `budget` (detail `inferences` or
+    `iterations`) or `timeout`. A timeout reports neither the inference count
+    nor the iterations, which a wall-clock stop makes vary from run to run.
+    A proof is replayed by the checker, after the wall time is read.
+    """
+    report = RunReport(problem_name, setup.engine)
+    found = None  # (final state, certificate) of a proof
     started = time.monotonic()
     if setup.engine == "deepening":
         result = prove_iterative(matrix, setup.deepening_options(collect_training))
-        wall = time.monotonic() - started
+        report.total_inferences = result.stats.extension_inferences
         outcome = result.outcome
-        report = RunReport(
-            problem=problem_name,
-            engine="deepening",
-            outcome="",
-            solved=False,
-            wall_time=wall,
-            total_inferences=result.stats.extension_inferences,
-        )
         if isinstance(outcome, Proof):
-            _record_proof(report, matrix, outcome.final_state, outcome.certificate)
+            found = outcome.final_state, outcome.certificate
             report.events = result.events
         elif isinstance(outcome, Saturated):
             report.outcome = "saturated"
             report.detail = outcome.reason or f"exhausted at depth {outcome.depth}"
         else:
+            report.outcome = "budget" if outcome.reason == "inferences" else "timeout"
             report.detail = outcome.reason
-            if outcome.reason == "inferences":
-                report.outcome = "budget"
-            else:
-                report.outcome = "timeout"
-                report.total_inferences = None  # volatile under wall-clock budgets
-        return report
-
-    game = setup.game(matrix, model)
-    stop = None
-    if setup.max_inferences is not None:
-        cap = setup.max_inferences
-        stop = lambda: game.extension_inferences >= cap  # noqa: E731
-    result = mcts.run(game, setup.search_config(), stop=stop)
-    wall = time.monotonic() - started
-    report = RunReport(
-        problem=problem_name,
-        engine="mcts",
-        outcome="",
-        solved=False,
-        wall_time=wall,
-        total_inferences=game.extension_inferences,
-        iterations=result.stats.iterations,
-    )
-    if isinstance(result.outcome, mcts.Solution):
-        final = result.outcome.final_state
-        _record_proof(report, matrix, final, certificate_for(final, matrix))
-    elif isinstance(result.outcome, mcts.Exhausted):
-        report.outcome = "exhausted"
     else:
-        reason = result.outcome.reason
-        report.outcome = "timeout" if reason == "time" else "budget"
-        # the only stop condition run_engine installs is the inference cap
-        report.detail = "inferences" if reason == "stopped" else reason
-        if reason == "time":
-            report.iterations = None
-            report.total_inferences = None
+        game = setup.game(matrix, model)
+        stop = None
+        if setup.max_inferences is not None:
+            cap = setup.max_inferences
+            stop = lambda: game.extension_inferences >= cap  # noqa: E731
+        result = mcts.run(game, setup.search_config(), stop=stop)
+        report.total_inferences = game.extension_inferences
+        report.iterations = result.stats.iterations
+        outcome = result.outcome
+        if isinstance(outcome, mcts.Solution):
+            found = outcome.final_state, certificate_for(outcome.final_state, matrix)
+        elif isinstance(outcome, mcts.Exhausted):
+            report.outcome = "exhausted"
+        else:
+            report.outcome = "timeout" if outcome.reason == "time" else "budget"
+            # the only stop condition run_engine installs is the inference cap
+            report.detail = "inferences" if outcome.reason == "stopped" else outcome.reason
+    report.wall_time = time.monotonic() - started
+
+    if report.outcome == "timeout":  # volatile under wall-clock budgets
+        report.total_inferences = report.iterations = None
+    if found:
+        final, certificate = found
+        report.outcome = "proof"
+        report.extensions = final.extensions
+        report.reductions = final.reductions
+        verdict = check_proof(matrix, certificate)
+        report.checker = "accepted" if verdict.accepted else f"rejected: {verdict.reason}"
+        report.certificate = format_certificate(certificate)
     return report
-
-
-def _record_proof(report: RunReport, matrix: Matrix, final_state, certificate):
-    """Fill `report` with a found proof: its steps, the checker's verdict, the certificate."""
-    report.solved = True
-    report.outcome = "proof"
-    report.extensions = final_state.extensions
-    report.reductions = final_state.reductions
-    verdict = check_proof(matrix, certificate)
-    report.checker = "accepted" if verdict.accepted else f"rejected: {verdict.reason}"
-    report.certificate = format_certificate(certificate)
 
 
 def print_report(report: RunReport):
@@ -310,18 +299,25 @@ def cmd_prove(args) -> int:
     return 1
 
 
-def cmd_train(args) -> int:
-    _check_output_path(args.model_out)
-    problems = load_corpus(args.corpus)
-    setup = _setup_from_args(args, engine="deepening")
-    store = Store()
-    solved = 0
+def _loaded(problems: list, args):
+    """(problem, matrix) for each corpus problem that loads; a warning names
+    each one that does not."""
     for info in problems:
         try:
             matrix = _load_matrix(info.path, args)
         except (ParseError, ClausifyError, OSError) as err:
             print(f"warning: skipping {info.name}: {err}", file=sys.stderr)
             continue
+        yield info, matrix
+
+
+def cmd_train(args) -> int:
+    _check_output_path(args.model_out)
+    problems = load_corpus(args.corpus)
+    setup = _setup_from_args(args, engine="deepening")
+    store = Store()
+    solved = 0
+    for info, matrix in _loaded(problems, args):
         report = run_engine(matrix, setup, info.name, collect_training=True)
         if report.solved:
             solved += 1
@@ -374,33 +370,33 @@ def cmd_bench(args) -> int:
     _check_output_path(args.machine_out)
     problems = load_corpus(args.corpus)
     configs = [_parse_config_spec(spec, args) for spec in (args.config or ["default"])]
+    names = [name for name, _ in configs]
+    for name in names:
+        if not name or names.count(name) > 1:
+            raise ValueError(f"configuration names must be unique and not empty, got {name!r}")
     models = {}
     for name, setup in configs:
         if setup.model and setup.model not in models:
             models[setup.model] = ProvabilityModel.load(setup.model)
 
     rows = []
-    solved_sets: dict = {name: set() for name, _ in configs}
-    for info in problems:
-        try:
-            matrix = _load_matrix(info.path, args)
-        except (ParseError, ClausifyError, OSError) as err:
-            print(f"warning: skipping {info.name}: {err}", file=sys.stderr)
-            continue
+    solved_sets: dict = {name: set() for name in names}
+    for info, matrix in _loaded(problems, args):
         for name, setup in configs:
             report = run_engine(matrix, setup, info.name, models.get(setup.model))
             rows.append((info.name, name, report))
             if report.solved:
                 solved_sets[name].add(info.name)
+    rows.sort(key=lambda r: r[:2])
 
     print(f"{'problem':28} {'config':14} {'outcome':10} {'ext':>7} {'iter':>7} {'time':>8}")
-    for problem, config, report in sorted(rows, key=lambda r: (r[0], r[1])):
+    for problem, config, report in rows:
         ext = report.extensions if report.extensions is not None else "-"
         iters = report.iterations if report.iterations is not None else "-"
         print(f"{problem:28} {config:14} {report.outcome:10} {ext:>7} {iters:>7} {report.wall_time:>7.2f}s")
     print()
-    for name, _ in configs:
-        others = set().union(*(s for other, s in solved_sets.items() if other != name)) if len(configs) > 1 else set()
+    for name in names:
+        others = set().union(*(s for other, s in solved_sets.items() if other != name))
         unique = solved_sets[name] - others
         print(f"config {name}: solved {len(solved_sets[name])}/{len(problems)}, unique {len(unique)}")
         if unique:
@@ -409,7 +405,7 @@ def cmd_bench(args) -> int:
     if args.machine_out:
         with open(args.machine_out, "w", encoding="utf-8") as handle:
             handle.write("problem\tconfig\toutcome\tsolved\textensions\titerations\ttime\n")
-            for problem, config, report in sorted(rows, key=lambda r: (r[0], r[1])):
+            for problem, config, report in rows:
                 handle.write(
                     f"{problem}\t{config}\t{report.outcome}\t{int(report.solved)}\t"
                     f"{report.extensions if report.extensions is not None else ''}\t"

@@ -160,7 +160,6 @@ class SearchStats:
     iterations: int = 0
     deletions: int = 0
     max_tree_depth: int = 0
-    wall_time: float = 0.0
     best_reward: float = -1.0
     best_state: object = None
 
@@ -292,7 +291,6 @@ def run(problem: MctsProblem, config: SearchConfig | None = None, stop=None) -> 
     init = problem.initial_state()
     if problem.is_success(init):
         stats = SearchStats(best_reward=problem.reward(init), best_state=init)
-        stats.wall_time = time.monotonic() - started
         return MctsResult(Solution(init, []), stats)
 
     tree = MctsTree(problem, init)
@@ -321,5 +319,4 @@ def run(problem: MctsProblem, config: SearchConfig | None = None, stop=None) -> 
         if config.reward_goal is not None and stats.best_reward >= config.reward_goal:
             outcome = Solution(stats.best_state, [], by_reward_goal=True)
             break
-    stats.wall_time = time.monotonic() - started
     return MctsResult(outcome, stats)

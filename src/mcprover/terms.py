@@ -156,11 +156,14 @@ class Matrix:
     clauses: tuple = ()
     index: dict = field(default_factory=dict, repr=False)
     digest: str = ""
-    has_positive_start: bool = False
-    prepared: bool = False
 
     def candidates(self, predicate: str, positive: bool) -> tuple:
         return self.index.get((predicate, positive), ())
+
+    @property
+    def has_positive_start(self) -> bool:
+        """Whether some clause connects to the start goal `$top`."""
+        return bool(self.candidates(TOP_PREDICATE, True))
 
 
 def build_extension_index(clauses) -> dict:

@@ -113,9 +113,7 @@ class Store:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Store):
             return NotImplemented
-        return {k: (s.p, s.n) for k, s in self.entries.items()} == {
-            k: (s.p, s.n) for k, s in other.entries.items()
-        }
+        return self.entries == other.entries
 
     def counts(self, key: LiteralKey) -> tuple:
         stats = self.entries.get(key)
@@ -162,6 +160,8 @@ class Store:
                 raise StoreFormatError(f"line {number}: malformed entry {line!r}") from None
             if stats.p < 0 or stats.n < 0:
                 raise StoreFormatError(f"line {number}: negative count")
+            if key in store.entries:
+                raise StoreFormatError(f"line {number}: repeats the key of an earlier line: {line!r}")
             store.entries[key] = stats
         return store
 

@@ -1,7 +1,7 @@
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import matrix_of
 from mcprover import calculus
@@ -278,6 +278,10 @@ _PROBLEM = st.builds(
 @pytest.mark.parametrize("explore_regular", [True, False])
 @settings(max_examples=150, deadline=None)
 @given(_PROBLEM)
+# a head that is not ground repeats a fingerprinted path literal only under a
+# successor's substitution: p(X) becomes p(a) through c2 (only states reached
+# with regularity on have fingerprinted path literals)
+@example("cnf(c0, axiom, p(b)).\ncnf(c1, axiom, ~p(b) | p(a)).\ncnf(c2, axiom, ~p(a) | p(X) | q(X,X)).\n")
 def test_regularity_matches_full_path_scan(explore_regular, problem):
     """At every state reached, with the regularity-pruned relation or the
     unpruned one, both options give the reference's successors."""

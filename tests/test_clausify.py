@@ -1,7 +1,8 @@
 import pytest
 
-from mcprover.clausify import ClausifyError, ClausifyOptions, clausify, prepare_matrix
-from mcprover.terms import NEG_TOP, TOP_PREDICATE, clause_to_str, matrix_to_cnf
+from mcprover.cli import bundled_corpus_dir, load_corpus
+from mcprover.clausify import ClausifyError, ClausifyOptions, clausify, load_matrix, prepare_matrix
+from mcprover.terms import NEG_TOP, TOP_PREDICATE, Matrix, clause_to_str, matrix_to_cnf
 from mcprover.tptp import parse_problem
 
 
@@ -116,6 +117,18 @@ def test_prepare_marks_every_positive_clause():
     m = prepare_matrix(clausify_text("cnf(c1, axiom, p).\ncnf(c2, axiom, q | r).\n"))
     tops = [c.literals[0] == NEG_TOP for c in m.clauses]
     assert tops == [True, True]
+
+
+def test_preparing_a_prepared_matrix_changes_nothing():
+    """Prepared start clauses begin with ~$top, so they are not prepared again;
+    whether a start clause exists follows from the clauses alone."""
+    for problem in load_corpus(bundled_corpus_dir()):
+        once = load_matrix(problem.path)
+        for twice in (prepare_matrix(once), prepare_matrix(Matrix(once.clauses))):
+            assert matrix_to_cnf(twice) == matrix_to_cnf(once), problem.name
+            assert twice.index == once.index and twice.digest == once.digest
+            assert twice.has_positive_start == once.has_positive_start
+        assert once.has_positive_start == any(c.literals[0] == NEG_TOP for c in once.clauses)
 
 
 def test_extension_index_soundness():

@@ -195,6 +195,46 @@ def test_inference_budget_is_reported_as_budget(capsys, engine):
     assert len(inferences) == 1 and int(inferences[0].split(":")[1]) >= 1000
 
 
+_BOTTOMLESS = "cnf(s, axiom, p(c)).\ncnf(t, axiom, ~p(X) | p(f(X))).\ncnf(g, negated_conjecture, ~p(d)).\n"
+
+# (problem, flags, the report lines after `problem`); a wall-clock stop prints no counters
+REPORT_SHAPES = {
+    "deepening-timeout": (None, ["--timeout", "0.3"],
+                          ["engine     : deepening", "outcome    : timeout", "detail     : time"]),
+    "mcts-timeout": (None, ["--engine", "mcts", "--timeout", "0.3"],
+                     ["engine     : mcts", "outcome    : timeout", "detail     : time"]),
+    "mcts-iterations": (None, ["--engine", "mcts", "--max-iterations", "50"],
+                        ["engine     : mcts", "outcome    : budget", "detail     : iterations",
+                         "inferences : 1051", "iterations : 50"]),
+    "mcts-inferences": (None, ["--engine", "mcts", "--max-inferences", "100"],
+                        ["engine     : mcts", "outcome    : budget", "detail     : inferences",
+                         "inferences : 106", "iterations : 5"]),
+    "deepening-inferences": (None, ["--max-inferences", "100"],
+                             ["engine     : deepening", "outcome    : budget", "detail     : inferences",
+                              "inferences : 101"]),
+    "mcts-exhausted": ("sat_prop.p", ["--engine", "mcts"],
+                       ["engine     : mcts", "outcome    : exhausted", "inferences : 2", "iterations : 2"]),
+    "deepening-saturated": ("sat_prop.p", [],
+                            ["engine     : deepening", "outcome    : saturated",
+                             "detail     : exhausted at depth 1", "inferences : 2"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_SHAPES))
+def test_unsolved_report_shapes(capsys, tmp_path, case):
+    name, flags, lines = REPORT_SHAPES[case]
+    if name is None:
+        name = "bottomless.p"
+        (tmp_path / name).write_text(_BOTTOMLESS)
+        path = str(tmp_path / name)
+    else:
+        path = corpus_file(name)
+    code, out, err = run_cli(capsys, "prove", path, *flags)
+    assert code == 1
+    assert out.splitlines() == [f"problem    : {name}", *lines]
+    assert err.startswith("wall time  : ")
+
+
 def test_default_timeout_only_without_budget_flags(tmp_path):
     model = ["--model-out", str(tmp_path / "model.txt")]
     for argv in (["bench"], ["train", *model]):
@@ -360,6 +400,9 @@ EXIT_TWO_CASES = {
     "cp-amp-nan": ["prove", "{problem}", "--engine", "mcts", "--cp-amp", "nan", "--cp-period", "5"],
     "cp-period-inf": ["prove", "{problem}", "--engine", "mcts", "--cp-amp", "0.1", "--cp-period", "inf"],
     "bench-timeout-nan": ["bench", "{corpus}", "--config", "x=timeout:nan"],
+    "bench-config-name-repeated": ["bench", "{corpus}", "--config", "a=engine:mcts", "--config", "a=engine:deepening"],
+    "bench-config-name-empty": ["bench", "{corpus}", "--config", "=engine:mcts"],
+    "model-key-repeated": ["prove", "{problem}", "--engine", "mcts", "--model", "{repeated_model}"],
     "tsp-cp-nan": ["tsp", "--cp", "nan"],
     "max-depth-below-start": ["prove", "{problem}", "--depth-start", "16", "--max-depth", "2"],
     "max-depth-zero": ["prove", "{problem}", "--max-depth", "0"],
@@ -375,6 +418,8 @@ def test_bad_input_exits_two_with_one_error_line(capsys, tmp_path, case):
     (tmp_path / "empty").mkdir()
     bad_model = tmp_path / "bad_model.txt"
     bad_model.write_text("not a model\n")
+    repeated_model = tmp_path / "repeated_model.txt"
+    repeated_model.write_text("0000000000000001 0000000000000002 3 4\n0000000000000001 0000000000000002 5 6\n")
     implications = tmp_path / "implications.p"  # one clause of 10001 literals
     implications.write_text(f"fof(a, axiom, {implication_chain(10000)}).\nfof(g, conjecture, p0).\n")
     negated_top = tmp_path / "negated_top.p"  # proved by mcts before $top was reserved
@@ -383,7 +428,7 @@ def test_bad_input_exits_two_with_one_error_line(capsys, tmp_path, case):
     top_clause.write_text("cnf(a, axiom, p).\ncnf(b, axiom, ~p | ~$top).\n")
     quoted_top = tmp_path / "quoted_top.p"
     quoted_top.write_text("fof(a, axiom, p).\nfof(b, axiom, ~p | ~'$top').\n")
-    places = dict(problem=corpus_file("prop_unit.p"), corpus=corpus, bad_model=bad_model,
+    places = dict(problem=corpus_file("prop_unit.p"), corpus=corpus, bad_model=bad_model, repeated_model=repeated_model,
                   implications=implications, missing=tmp_path / "missing", empty=tmp_path / "empty",
                   negated_top=negated_top, top_clause=top_clause, quoted_top=quoted_top)
     argv = [arg.format(**places) for arg in EXIT_TWO_CASES[case]]
@@ -402,6 +447,8 @@ def test_bad_input_exits_two_with_one_error_line(capsys, tmp_path, case):
     assert len(errors) == 1
     if case == "malformed-model":
         assert bad_model.name in errors[0]
+    if case == "model-key-repeated":
+        assert repeated_model.name in errors[0] and "line 2" in errors[0]
     if case == "cnf-cutoff":
         assert "literal cutoff" in errors[0] and "4096" in errors[0]
 

@@ -183,5 +183,7 @@ def test_dumps_sorted_and_stable():
 def test_load_error_reports_line():
     with pytest.raises(StoreFormatError, match="line 2"):
         Store.loads("0000000000000001 0000000000000002 5 1\nbroken line\n")
+    with pytest.raises(StoreFormatError, match="line 2: repeats the key"):
+        Store.loads("0000000000000001 0000000000000002 3 4\n0000000000000001 0000000000000002 5 6\n")
     with pytest.raises(StoreFormatError):
         Store.loads("xyz 0000000000000002 5 1\n")
