@@ -78,19 +78,20 @@ class Goal:
     clause_index / literal_indices record where the remaining literals sit in
     the input matrix (clause_index -1 denotes the synthetic start goal); the
     guidance model and training extraction key statistics by those positions.
-    depth counts extension steps below the start goal, i.e. the path length
-    with the synthetic top literal discounted. path is the chain of cells
-    (literal, fingerprint, index, rest), innermost first and None when empty;
-    fingerprint is the literal's _fingerprint when it was pushed with one,
-    else None.
+    path is the chain of cells (literal, fingerprint, index, rest), innermost
+    first and None when empty; fingerprint is the literal's _fingerprint when
+    it was pushed with one, else None.
     """
 
     clause: tuple
     path: tuple | None
     lemmas: tuple
-    depth: int
     clause_index: int
     literal_indices: tuple
+
+    @property
+    def depth(self) -> int:  # extension steps below the start goal: the innermost cell's index
+        return 0 if self.path is None else self.path[2]
 
 
 @dataclass(slots=True)
@@ -130,7 +131,6 @@ def initial_state(matrix: Matrix) -> ProverState:
         clause=START_CLAUSE.literals,
         path=None,
         lemmas=(),
-        depth=0,
         clause_index=-1,
         literal_indices=(0,),
     )
@@ -219,8 +219,9 @@ def _repeats(sigma: Substitution, head_args: list, arg_lists: list) -> bool:
 def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DEFAULT_OPTIONS):
     """All rule applications for the designated (most recent) goal, in the
     deterministic order: lemma step, reductions in path order, extensions in
-    matrix order. Returns a list of (action, successor) pairs; an empty list
-    marks a dead end."""
+    matrix order. Returns the list of successor states, each with the action
+    that made it at the head of its trail (`trail[0]`); an empty list marks a
+    dead end."""
     if not state.goals:
         raise ValueError("closed states have no successors")
     gi = len(state.goals) - 1
@@ -237,7 +238,7 @@ def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DE
         if not rest:
             return below
         lemmas = goal.lemmas + (extra_lemma,) if extra_lemma is not None else goal.lemmas
-        kept = Goal(rest, goal.path, lemmas, goal.depth, goal.clause_index, goal.literal_indices[1:])
+        kept = Goal(rest, goal.path, lemmas, goal.clause_index, goal.literal_indices[1:])
         return below + (kept,)
 
     if options.lemmas:
@@ -247,9 +248,8 @@ def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DE
                 and lemma.predicate == head_pred
                 and literals_equal_under(sigma, head, lemma)
             ):
-                action = LemmaStep(gi, k)
-                out.append((action, ProverState(retained(), sigma, state.fresh_var, state.extensions,
-                                                state.reductions, (action, state.trail))))
+                out.append(ProverState(retained(), sigma, state.fresh_var, state.extensions,
+                                       state.reductions, (LemmaStep(gi, k), state.trail)))
                 break
 
     # one walk of the path: the complementary cells are the reduction partners,
@@ -286,15 +286,13 @@ def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DE
             continue
         if check and _repeats(sigma2, head_args, check):
             continue
-        action = Reduction(gi, cell[2])
-        out.append((action, ProverState(retained(), sigma2, state.fresh_var, state.extensions,
-                                        state.reductions + 1, (action, state.trail))))
+        out.append(ProverState(retained(), sigma2, state.fresh_var, state.extensions,
+                               state.reductions + 1, (Reduction(gi, cell[2]), state.trail)))
 
     if options.depth_bound is not None and goal.depth >= options.depth_bound:
         return out
 
     path = (head, key, 0 if goal.path is None else goal.path[2] + 1, goal.path)
-    depth = goal.depth if goal.path is None else goal.depth + 1  # the start goal's TOP is no step
     for ci, li in matrix.candidates(head_pred, head_pos):
         clause = matrix.clauses[ci]
         offset = state.fresh_var
@@ -314,11 +312,15 @@ def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DE
         new_goals = retained(extra_lemma=head)
         if new_lits:
             indices = tuple(j for j in range(len(clause.literals)) if j != li)
-            new_goals = new_goals + (Goal(new_lits, path, goal.lemmas, depth, ci, indices),)
-        action = Extension(gi, ci, li)
-        out.append((action, ProverState(new_goals, sigma2, offset + clause.var_count, state.extensions + 1,
-                                        state.reductions, (action, state.trail))))
+            new_goals = new_goals + (Goal(new_lits, path, goal.lemmas, ci, indices),)
+        out.append(ProverState(new_goals, sigma2, offset + clause.var_count, state.extensions + 1,
+                               state.reductions, (Extension(gi, ci, li), state.trail)))
     return out
+
+
+def extension_count(states: list) -> int:
+    """The states made by an extension: what inference budgets charge."""
+    return len([s for s in states if type(s.trail[0]) is Extension])
 
 
 def has_applicable_extension(state: ProverState, matrix: Matrix) -> bool:

@@ -267,6 +267,8 @@ def _load_matrix(path: str, args) -> Matrix:
 def _check_output_path(path: str | None):
     """Fail before any work when `path` could not be written afterwards."""
     directory = os.path.dirname(path or "") or "."
+    if path and os.path.isdir(path):
+        raise OSError(f"cannot write {path}: it is a directory")
     if path and not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
         raise OSError(f"cannot write {path}: {directory} is not a writable directory")
 
@@ -374,6 +376,8 @@ def cmd_bench(args) -> int:
     for name in names:
         if not name or names.count(name) > 1:
             raise ValueError(f"configuration names must be unique and not empty, got {name!r}")
+        if ":" in name or "," in name:
+            raise ValueError(f"configuration name {name!r} holds ':' or ','; write NAME=key:value,...")
     models = {}
     for name, setup in configs:
         if setup.model and setup.model not in models:

@@ -29,6 +29,7 @@ from .calculus import (
     Goal,
     LemmaStep,
     ProverState,
+    extension_count,
     has_applicable_extension,
     initial_state,
     successors,
@@ -133,13 +134,13 @@ class _DepthSearch:
         stack = [self._expand(initial_state(self.matrix))]
         while stack:
             top = stack[-1]
-            step = next(top.untried, None)
-            if step is None:
+            state = next(top.untried, None)
+            if state is None:
                 stack.pop()
                 if self.keys is not None and not top.closed_any:
                     self._emit(top.goal.clause_index, top.goal.literal_indices[0], False)
                 continue
-            top.action, state = step
+            top.action = state.trail[0]
             height = len(state.goals)
             # `state` closes the records of target `height`, innermost first, up
             # to one whose head leaves a remainder open; records of a higher
@@ -170,9 +171,7 @@ class _DepthSearch:
             raise _OutOfBudget("inferences")
         goal = state.goals[-1]
         succs = successors(state, self.matrix, self.calc)
-        for action, _ in succs:
-            if isinstance(action, Extension):
-                self.stats.extension_inferences += 1
+        self.stats.extension_inferences += extension_count(succs)
         if not self.bound_hit and goal.depth >= self.calc.depth_bound:
             self.bound_hit = has_applicable_extension(state, self.matrix)
         return _ChoicePoint(iter(succs), goal, len(state.goals) - 1 + (len(goal.clause) > 1))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import insort
 
-from .calculus import CalculusOptions, Extension, ProverState, initial_state, successors
+from .calculus import CalculusOptions, Extension, ProverState, extension_count, initial_state, successors
 from .guidance import (
     ProvabilityModel,
     RewardConfig,
@@ -29,10 +29,10 @@ from .trainstore import KeyTable
 class ConnectionGame(MctsProblem):
     """The connection calculus as an MctsProblem.
 
-    `extension_inferences` counts the extension successors of every
-    `successors` request, which is what inference budgets are charged. The
-    last request is remembered, keyed by the identity of its state: asking
-    again for the same state object, as a first-node expansion and its
+    `extension_inferences` sums `extension_count` over the successors of
+    every `successors` request, which is what inference budgets are charged.
+    The last request is remembered, keyed by the identity of its state:
+    asking again for the same state object, as a first-node expansion and its
     playout do, returns the same list without recomputing it, and is still
     charged its extensions."""
 
@@ -90,10 +90,9 @@ class ConnectionGame(MctsProblem):
         if last_state is state:
             self.extension_inferences += last_extensions
             return last_list
-        pairs = successors(state, self.matrix, self.calculus)
-        extensions = sum(isinstance(action, Extension) for action, _ in pairs)
+        out = successors(state, self.matrix, self.calculus)
+        extensions = extension_count(out)
         self.extension_inferences += extensions
-        out = [successor for _, successor in pairs]
         self._last = (state, out, extensions)
         return out
 

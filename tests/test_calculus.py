@@ -27,7 +27,7 @@ def all_descendants(state, matrix, options=CalculusOptions(), limit=2000):
         s = stack.pop()
         seen.append(s)
         if not s.is_closed:
-            stack.extend(t for _, t in successors(s, matrix, options))
+            stack.extend(successors(s, matrix, options))
     return seen
 
 
@@ -65,8 +65,8 @@ def test_start_extension_example(unit_pair_matrix):
     s0 = initial_state(unit_pair_matrix)
     succ = successors(s0, unit_pair_matrix)
     assert len(succ) == 1
-    action, s1 = succ[0]
-    assert action == Extension(0, 0, 0)
+    s1 = succ[0]
+    assert s1.trail[0] == Extension(0, 0, 0)
     assert [[lit.predicate for lit in g.clause] for g in s1.goals] == [["p"]]
     assert path_literals(s1.goals[0]) == (TOP,)
     assert s1.opened_total == 2 and s1.extensions == 1
@@ -75,24 +75,24 @@ def test_start_extension_example(unit_pair_matrix):
 def test_goals_share_the_parent_path_chain():
     m = matrix_of("cnf(c1, axiom, p).\ncnf(c2, axiom, ~p | q | r).\ncnf(c3, axiom, ~q).\n")
     s = initial_state(m)
-    _, s = successors(s, m)[0]  # top -> p
+    s = successors(s, m)[0]  # top -> p
     goal = s.goals[-1]
-    (action, s), = successors(s, m)  # p -> c2, goal q | r
-    assert action == Extension(0, 1, 0)
+    s, = successors(s, m)  # p -> c2, goal q | r
+    assert s.trail[0] == Extension(0, 1, 0)
     new = s.goals[-1]
     assert new.path[:3] == (goal.clause[0], None, 1)
     assert new.path[3] is goal.path
-    (_, s), = successors(s, m)  # q -> c3, goal r
+    s, = successors(s, m)  # q -> c3, goal r
     assert s.goals[-1].path is new.path
 
 
 def test_closing_extension_removes_empty_goals(unit_pair_matrix):
     s0 = initial_state(unit_pair_matrix)
-    _, s1 = successors(s0, unit_pair_matrix)[0]
+    s1 = successors(s0, unit_pair_matrix)[0]
     succ = successors(s1, unit_pair_matrix)
     assert len(succ) == 1
-    action, s2 = succ[0]
-    assert action == Extension(0, 1, 0)
+    s2 = succ[0]
+    assert s2.trail[0] == Extension(0, 1, 0)
     assert s2.is_closed
     assert s2.extensions == 2
     assert s2.actions() == (Extension(0, 0, 0), Extension(0, 1, 0))
@@ -103,20 +103,20 @@ def test_reduction_closes_against_path():
     # drive to a state whose designated goal is ~-something with a complement on the path
     s = initial_state(m)
     # extension chain: top -> p (clause c1), then p -> ~p of c2 leaving goal {p} with p on path
-    _, s = successors(s, m)[0]
-    action, s = [x for x in successors(s, m) if isinstance(x[0], Extension) and x[0].clause == 1][0]
+    s = successors(s, m)[0]
+    s = [x for x in successors(s, m) if isinstance(x.trail[0], Extension) and x.trail[0].clause == 1][0]
     # now goal clause is (p,), path (top, p): a reduction on p? polarity equal, no.
     # instead check a negative-literal reduction via a dedicated matrix
     m2 = matrix_of("cnf(c1, axiom, q).\ncnf(c2, axiom, ~q | r).\ncnf(c3, axiom, ~r | ~q).\n")
     s = initial_state(m2)
-    _, s = successors(s, m2)[0]           # top -> q
-    _, s = successors(s, m2)[0]           # q -> c2, open r
+    s = successors(s, m2)[0]              # top -> q
+    s = successors(s, m2)[0]              # q -> c2, open r
     acts = successors(s, m2)              # goal r: extension into c3, opens ~q with q on path
-    _, s = [x for x in acts if isinstance(x[0], Extension)][0]
+    s = [x for x in acts if isinstance(x.trail[0], Extension)][0]
     final = successors(s, m2)
-    reductions = [x for x in final if isinstance(x[0], Reduction)]
+    reductions = [x for x in final if isinstance(x.trail[0], Reduction)]
     assert reductions, "expected a reduction against the path"
-    _, closed = reductions[0]
+    closed = reductions[0]
     assert closed.is_closed
     assert closed.reductions == 1
 
@@ -124,7 +124,7 @@ def test_reduction_closes_against_path():
 def test_immutability_of_parent_states(unit_pair_matrix):
     s0 = initial_state(unit_pair_matrix)
     snapshot = (s0.goals, s0.opened_total, s0.fresh_var, s0.extensions, s0.reductions, len(s0.sigma))
-    for _, s1 in successors(s0, unit_pair_matrix):
+    for s1 in successors(s0, unit_pair_matrix):
         successors(s1, unit_pair_matrix)
     assert (s0.goals, s0.opened_total, s0.fresh_var, s0.extensions, s0.reductions, len(s0.sigma)) == snapshot
 
@@ -132,9 +132,9 @@ def test_immutability_of_parent_states(unit_pair_matrix):
 def test_extension_renames_variables_fresh():
     m = matrix_of("cnf(c1, axiom, p(a)).\ncnf(c2, axiom, ~p(X) | p(f(X))).\n")
     s = initial_state(m)
-    _, s = successors(s, m)[0]
-    (_, s1), = [x for x in successors(s, m) if isinstance(x[0], Extension)]
-    (_, s2), = [x for x in successors(s1, m) if isinstance(x[0], Extension)]
+    s = successors(s, m)[0]
+    s1, = [x for x in successors(s, m) if isinstance(x.trail[0], Extension)]
+    s2, = [x for x in successors(s1, m) if isinstance(x.trail[0], Extension)]
     # the second copy of c2 must use a different variable than the first
     assert s2.fresh_var == 2
     assert s1.fresh_var == 1
@@ -148,10 +148,10 @@ def test_opened_total_monotone_and_open_count_steps():
     for state in all_descendants(initial_state(m), m):
         if state.is_closed:
             continue
-        for action, succ in successors(state, m):
+        for succ in successors(state, m):
             assert succ.opened_total >= state.opened_total
             delta = succ.open_count - state.open_count
-            if isinstance(action, (Reduction, LemmaStep)):
+            if isinstance(succ.trail[0], (Reduction, LemmaStep)):
                 assert delta == -1
             else:
                 assert delta in (-1, 0, 1)
@@ -161,12 +161,12 @@ def test_regularity_filters_repeated_head():
     # p's only extension reopens p under the same instantiation: regularity prunes it
     m = matrix_of("cnf(c1, axiom, p).\ncnf(c2, axiom, ~p | p).\n")
     s = initial_state(m)
-    _, s = successors(s, m)[0]
-    _, s = [x for x in successors(s, m) if isinstance(x[0], Extension) and x[0].clause == 1][0]
+    s = successors(s, m)[0]
+    s = [x for x in successors(s, m) if isinstance(x.trail[0], Extension) and x.trail[0].clause == 1][0]
     # goal is {p} with p already on the path
     assert successors(s, m, CalculusOptions(regularity=True)) == []
     loose = successors(s, m, CalculusOptions(regularity=False))
-    assert any(isinstance(a, Extension) for a, _ in loose)
+    assert any(isinstance(x.trail[0], Extension) for x in loose)
 
 
 def test_lemma_step_closes_repeated_literal():
@@ -178,15 +178,15 @@ cnf(c3, axiom, ~q).
 """
     m = matrix_of(text)
     s = initial_state(m)
-    _, s = successors(s, m)[0]                       # top -> p
-    _, s = successors(s, m)[0]                       # p -> c2, goal {q, q}
-    (_, s), = [x for x in successors(s, m) if isinstance(x[0], Extension)]  # close first q via c3
-    lemma_moves = [x for x in successors(s, m) if isinstance(x[0], LemmaStep)]
+    s = successors(s, m)[0]                          # top -> p
+    s = successors(s, m)[0]                          # p -> c2, goal {q, q}
+    s, = [x for x in successors(s, m) if isinstance(x.trail[0], Extension)]  # close first q via c3
+    lemma_moves = [x for x in successors(s, m) if isinstance(x.trail[0], LemmaStep)]
     assert lemma_moves, "second q should close as a lemma"
-    _, closed = lemma_moves[0]
+    closed = lemma_moves[0]
     assert closed.is_closed
     no_lemmas = successors(s, m, CalculusOptions(lemmas=False))
-    assert not any(isinstance(a, LemmaStep) for a, _ in no_lemmas)
+    assert not any(isinstance(x.trail[0], LemmaStep) for x in no_lemmas)
 
 
 def test_lemma_successor_comes_first_then_reductions_then_extensions():
@@ -199,11 +199,11 @@ cnf(c5, axiom, ~q).
 """
     m = matrix_of(text)
     s = initial_state(m)
-    _, s = successors(s, m)[0]
-    _, s = successors(s, m)[0]
+    s = successors(s, m)[0]
+    s = successors(s, m)[0]
     # close the first q through c5
-    (_, s), = [x for x in successors(s, m) if isinstance(x[0], Extension) and x[0].clause == 4]
-    kinds = [type(a).__name__ for a, _ in successors(s, m)]
+    s, = [x for x in successors(s, m) if isinstance(x.trail[0], Extension) and x.trail[0].clause == 4]
+    kinds = [type(x.trail[0]).__name__ for x in successors(s, m)]
     assert kinds[0] == "LemmaStep"
     assert kinds[1:] == sorted(kinds[1:], key=lambda k: 0 if k == "Reduction" else 1)
 
@@ -211,10 +211,10 @@ cnf(c5, axiom, ~q).
 def test_depth_bound_blocks_extensions():
     m = matrix_of("cnf(c1, axiom, p).\ncnf(c2, axiom, ~p | q).\ncnf(c3, axiom, ~q).\n")
     s = initial_state(m)
-    _, s = successors(s, m, CalculusOptions(depth_bound=1))[0]   # start, depth 0
+    s = successors(s, m, CalculusOptions(depth_bound=1))[0]      # start, depth 0
     succ1 = successors(s, m, CalculusOptions(depth_bound=1))     # p at depth 0 -> allowed
     assert succ1
-    _, s = succ1[0]
+    s = succ1[0]
     # q sits at depth 1 now; bound 1 forbids extending it
     assert successors(s, m, CalculusOptions(depth_bound=1)) == []
     assert successors(s, m, CalculusOptions(depth_bound=2)) != []
@@ -232,25 +232,25 @@ def reference_successors(state, matrix, options):
     goal = state.goals[-1]
     head = goal.clause[0]
     return [
-        (action, succ)
-        for action, succ in unfiltered
-        if isinstance(action, LemmaStep)
+        succ
+        for succ in unfiltered
+        if isinstance(succ.trail[0], LemmaStep)
         or not any(literals_equal_under(succ.sigma, head, lit) for lit in path_literals(goal))
     ]
 
 
-def shape(pairs):
+def shape(states):
     """What a successor list determines, without the regularity index."""
     return [
         (
-            action,
+            succ.trail[0],
             succ.fresh_var,
             succ.extensions,
             succ.reductions,
             bindings(succ.sigma),
             [(g.clause, path_literals(g), g.lemmas, g.depth, g.clause_index, g.literal_indices) for g in succ.goals],
         )
-        for action, succ in pairs
+        for succ in states
     ]
 
 
@@ -305,16 +305,16 @@ def test_head_ground_only_under_the_successor_substitution_is_pruned():
         "cnf(c4, axiom, ~p(c)).\n"
     )
     s = initial_state(m)
-    _, s = successors(s, m)[0]  # top -> p(b)
-    _, s = successors(s, m)[0]  # p(b) -> c2, goal p(a)
-    (_, s), = [x for x in successors(s, m) if x[0].clause == 2]  # p(a) -> c3, goal p(X) | q(X)
+    s = successors(s, m)[0]  # top -> p(b)
+    s = successors(s, m)[0]  # p(b) -> c2, goal p(a)
+    s, = [x for x in successors(s, m) if x.trail[0].clause == 2]  # p(a) -> c3, goal p(X) | q(X)
     goal = s.goals[-1]
     # p(a) met p(b) on its path, so it was pushed as ground
     assert loose_literals(goal) == [TOP, Literal(True, "p", (App("b"),))]
     assert len(ground_cells(goal)) == 1
     # p(X) becomes p(b) through c2 and p(a) through c3, repeating the path; only c4 stays
-    assert [a for a, _ in successors(s, m)] == [Extension(0, 3, 0)]
-    unpruned = [a.clause for a, _ in successors(s, m, CalculusOptions(regularity=False))]
+    assert [x.trail[0] for x in successors(s, m)] == [Extension(0, 3, 0)]
+    unpruned = [x.trail[0].clause for x in successors(s, m, CalculusOptions(regularity=False))]
     assert unpruned == [1, 2, 3]
 
 
@@ -326,7 +326,7 @@ def test_colliding_fingerprints_change_no_successor_list(monkeypatch):
 
     def actions_seen():
         return [
-            [a for a, _ in successors(state, m)]
+            [x.trail[0] for x in successors(state, m)]
             for m in matrices
             for state in all_descendants(initial_state(m), m, limit=100)
             if not state.is_closed
@@ -351,9 +351,9 @@ def test_ground_path_term_2000_deep():
         Clause((Literal(False, "p", (deep_b,)), Literal(True, "p", (deep_b,)))),
     )))
     s = initial_state(m)
-    _, s = successors(s, m)[0]  # top -> p(A)
-    _, s = successors(s, m)[0]  # p(A) -> c2, goal p(B)
-    (_, s), = successors(s, m)  # p(B) -> c3 differs from p(A) only at the bottom
+    s = successors(s, m)[0]  # top -> p(A)
+    s = successors(s, m)[0]  # p(A) -> c2, goal p(B)
+    s, = successors(s, m)  # p(B) -> c3 differs from p(A) only at the bottom
     assert len(ground_cells(s.goals[-1])) == 1
     assert successors(s, m) == []  # p(B) repeats the ground p(B) of its path
 
@@ -368,12 +368,12 @@ def test_head_unfolding_to_a_huge_term_is_compared_directly():
         "cnf(c2, axiom, ~p(X) | p(X)).\n"
     )
     s = initial_state(m)
-    _, s = successors(s, m)[0]  # top -> p(a)
+    s = successors(s, m)[0]  # top -> p(a)
     for _ in range(60):
         succ = successors(s, m)
-        assert [a.clause for a, _ in succ] == [1, 2]
+        assert [x.trail[0].clause for x in succ] == [1, 2]
         assert shape(succ) == shape(reference_successors(s, m, CalculusOptions()))
-        (_, s), (_, repeat) = succ
+        s, repeat = succ
         assert successors(repeat, m) == []  # p(X) with X bound to the head repeats the path
         goal = s.goals[-1]
         assert [index for _, _, index in path_cells(goal)] == list(range(goal.depth + 1))

@@ -107,7 +107,7 @@ def replay_in_engine(matrix, cert, options):
 
     state = initial_state(matrix)
     for action in cert.actions:
-        match = [s for a, s in successors(state, matrix, options) if a == action]
+        match = [s for s in successors(state, matrix, options) if s.trail[0] == action]
         if not match:
             return None
         state = match[0]

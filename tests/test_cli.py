@@ -373,11 +373,14 @@ EXIT_TWO_CASES = {
     "malformed-model": ["prove", "{problem}", "--engine", "mcts", "--model", "{bad_model}"],
     "cnf-cutoff": ["prove", "{implications}"],
     "proof-out-missing-dir": ["prove", "{problem}", "--proof-out", "{missing}/p"],
+    "proof-out-directory": ["prove", "{problem}", "--proof-out", "{empty}"],
     "bench-missing-corpus": ["bench", "{missing}"],
     "bench-empty-corpus": ["bench", "{empty}"],
     "bench-missing-model": ["bench", "{corpus}", "--model", "{missing}/model.txt"],
     "bench-machine-out-missing-dir": ["bench", "{corpus}", "--machine-out", "{missing}/b.tsv"],
+    "bench-machine-out-directory": ["bench", "{corpus}", "--machine-out", "{empty}"],
     "train-out-missing-dir": ["train", "{corpus}", "--model-out", "{missing}/m.txt"],
+    "train-out-directory": ["train", "{corpus}", "--model-out", "{empty}", "--verbose"],
     "tsp-brute-force-too-large": ["tsp", "--random", "12", "--brute-force"],
     "tsp-no-cities": ["tsp", "--random", "0"],
     "max-inferences-negative": ["prove", "{problem}", "--max-inferences", "-5"],
@@ -402,12 +405,20 @@ EXIT_TWO_CASES = {
     "bench-timeout-nan": ["bench", "{corpus}", "--config", "x=timeout:nan"],
     "bench-config-name-repeated": ["bench", "{corpus}", "--config", "a=engine:mcts", "--config", "a=engine:deepening"],
     "bench-config-name-empty": ["bench", "{corpus}", "--config", "=engine:mcts"],
+    "bench-config-without-name": ["bench", "{corpus}", "--config", "engine:mcts"],
     "model-key-repeated": ["prove", "{problem}", "--engine", "mcts", "--model", "{repeated_model}"],
     "tsp-cp-nan": ["tsp", "--cp", "nan"],
     "max-depth-below-start": ["prove", "{problem}", "--depth-start", "16", "--max-depth", "2"],
     "max-depth-zero": ["prove", "{problem}", "--max-depth", "0"],
 }
 SUBPROCESS_CASE = "bench-missing-corpus"  # also covers the `python -m` entry point
+
+
+def subprocess_env(**extra) -> dict:
+    """The environment of a child interpreter that imports these sources,
+    whether or not the package is installed or PYTHONPATH is set."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mcprover.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **extra)
 
 
 @pytest.mark.parametrize("case", sorted(EXIT_TWO_CASES))
@@ -433,10 +444,8 @@ def test_bad_input_exits_two_with_one_error_line(capsys, tmp_path, case):
                   negated_top=negated_top, top_clause=top_clause, quoted_top=quoted_top)
     argv = [arg.format(**places) for arg in EXIT_TWO_CASES[case]]
     if case == SUBPROCESS_CASE:
-        src = os.path.dirname(os.path.dirname(os.path.abspath(mcprover.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         done = subprocess.run([sys.executable, "-m", "mcprover.cli", *argv],
-                              env=env, capture_output=True, text=True)
+                              env=subprocess_env(), capture_output=True, text=True)
         code, out, err = done.returncode, done.stdout, done.stderr
     else:
         code, out, err = run_cli(capsys, *argv)
@@ -480,10 +489,9 @@ def test_model_hash_stability_across_processes(tmp_path, capsys):
         capsys, "train", str(corpus), "--model-out", str(inner), "--max-inferences", "100000"
     )
     assert code == 0
-    env = dict(os.environ, PYTHONHASHSEED="12345")
     subprocess.run(
         [sys.executable, "-m", "mcprover.cli", "train", str(corpus),
          "--model-out", str(outer), "--max-inferences", "100000"],
-        check=True, env=env, capture_output=True,
+        check=True, env=subprocess_env(PYTHONHASHSEED="12345"), capture_output=True,
     )
     assert inner.read_bytes() == outer.read_bytes()

@@ -179,7 +179,7 @@ def test_successor_substitutions_factor_through_parent(unit_pair_matrix):
         visited += 1
         if state.is_closed:
             continue
-        for _, succ in successors(state, m):
+        for succ in successors(state, m):
             assert factors_through(succ.sigma, state.sigma)
             stack.append(succ)
 

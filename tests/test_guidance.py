@@ -139,8 +139,8 @@ def test_game_weights_positive_and_policy_sensitive():
         "cnf(c3, axiom, ~p | q | r).\ncnf(c4, axiom, ~q).\ncnf(c5, axiom, ~r).\n"
     )
     s = initial_state(m)
-    _, s = successors(s, m)[0]
-    succs = [t for _, t in successors(s, m)]
+    s = successors(s, m)[0]
+    succs = successors(s, m)
     constant = ConnectionGame(m).weights(s, succs)
     inverse = ConnectionGame(m, weights=SimulationWeights("inverse")).weights(s, succs)
     rank = ConnectionGame(m, weights=SimulationWeights("rank")).weights(s, succs)
@@ -184,7 +184,7 @@ def test_state_provability_uses_remaining_literals():
     model = ProvabilityModel(store)
     cfg = RewardConfig()
     s = initial_state(m)
-    _, s = successors(s, m)[0]  # goal {p, q}
+    s = successors(s, m)[0]  # goal {p, q}
 
     def lit_value(ci, li):
         return model.literal_value(keys.key(ci, li), cfg)
