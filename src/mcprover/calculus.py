@@ -20,9 +20,12 @@ innermost first, that every goal below shares; index is the literal's position
 from the root. One walk of the chain per call finds the reduction partners
 and the literals regularity (no literal repeats one of its path under the
 substitution) compares. The substitution only grows along a branch, so a path
-literal that was ground when pushed stays the same ground literal below: its
-cell keeps its fingerprint (unless it is too large to fingerprint), and one
-fingerprint comparison settles it for every successor.
+literal that was ground when pushed stays the same ground literal below. A
+literal is fingerprinted only when some literal of its path had its sign,
+predicate and arity; its cell then keeps that fingerprint (None when it was not
+ground or too large), and one fingerprint comparison settles such a cell for
+every successor. Every other cell is compared under each successor's
+substitution.
 """
 
 from __future__ import annotations
@@ -173,29 +176,18 @@ def _fingerprint(sigma: Substitution, lit: Literal) -> int | None:
     return hash(tuple(tokens))
 
 
-def _resolved(sigma: Substitution, args: tuple) -> list:
-    """`args`, each dereferenced under sigma. The substitution of a successor
-    extends sigma, so dereferencing under it can go on from these terms."""
-    lookup = sigma.lookup
-    out = []
-    for t in args:
-        while type(t) is Var:
-            bound = lookup(t.id)
-            if bound is None:
-                break
-            t = bound
-        out.append(t)
-    return out
-
-
-def _repeats(sigma: Substitution, head_args: list, arg_lists: list) -> bool:
+def _repeats(sigma: Substitution, head_args: tuple, arg_lists: list) -> bool:
     """True when the arguments of some literal in `arg_lists` equal the head's
     under sigma; the literals have the head's sign, predicate and arity."""
-    resolved = _resolved(sigma, head_args)
     lookup = sigma.lookup
     for args in arg_lists:
         pairs = []
-        for h, t in zip(resolved, args):
+        for h, t in zip(head_args, args):
+            while type(h) is Var:
+                bound = lookup(h.id)
+                if bound is None:
+                    break
+                h = bound
             while type(t) is Var:
                 bound = lookup(t.id)
                 if bound is None:
@@ -233,13 +225,14 @@ def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DE
     head_pos = head.positive
     sigma = state.sigma
     out = []
-
-    def retained(extra_lemma=None):
-        if not rest:
-            return below
-        lemmas = goal.lemmas + (extra_lemma,) if extra_lemma is not None else goal.lemmas
-        kept = Goal(rest, goal.path, lemmas, goal.clause_index, goal.literal_indices[1:])
-        return below + (kept,)
+    # the goals left when a lemma step or reduction closes the head, and those
+    # below the goal an extension opens, where the head becomes a lemma; states
+    # are never mutated, so every sibling shares them
+    closed = extended = below
+    if rest:
+        kept = goal.literal_indices[1:]
+        closed = below + (Goal(rest, goal.path, goal.lemmas, goal.clause_index, kept),)
+        extended = below + (Goal(rest, goal.path, goal.lemmas + (head,), goal.clause_index, kept),)
 
     if options.lemmas:
         for k, lemma in enumerate(goal.lemmas):
@@ -248,7 +241,7 @@ def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DE
                 and lemma.predicate == head_pred
                 and literals_equal_under(sigma, head, lemma)
             ):
-                out.append(ProverState(retained(), sigma, state.fresh_var, state.extensions,
+                out.append(ProverState(closed, sigma, state.fresh_var, state.extensions,
                                        state.reductions, (LemmaStep(gi, k), state.trail)))
                 break
 
@@ -274,19 +267,18 @@ def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DE
     check = ()
     key = None
     if same:
-        head_args = _resolved(sigma, head.args)
         key = _fingerprint(sigma, head)
-        if key is not None and _repeats(sigma, head_args, [_resolved(sigma, c[0].args) for c in same if c[1] == key]):
+        if key is not None and _repeats(sigma, head.args, [c[0].args for c in same if c[1] == key]):
             return out
-        check = [_resolved(sigma, c[0].args) for c in same if key is None or c[1] is None]
+        check = [c[0].args for c in same if key is None or c[1] is None]
 
     for cell in reversed(partners):  # reductions in path order
         sigma2 = unify_args(sigma, head.args, cell[0].args)
         if sigma2 is None:
             continue
-        if check and _repeats(sigma2, head_args, check):
+        if check and _repeats(sigma2, head.args, check):
             continue
-        out.append(ProverState(retained(), sigma2, state.fresh_var, state.extensions,
+        out.append(ProverState(closed, sigma2, state.fresh_var, state.extensions,
                                state.reductions + 1, (Reduction(gi, cell[2]), state.trail)))
 
     if options.depth_bound is not None and goal.depth >= options.depth_bound:
@@ -303,16 +295,16 @@ def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DE
         sigma2 = unify_args(sigma, head.args, target.args)  # the index matched predicate and sign
         if sigma2 is None:
             continue
-        if check and _repeats(sigma2, head_args, check):
+        if check and _repeats(sigma2, head.args, check):
             continue
         if clause.var_count:
             new_lits = tuple(rename_literal(lit, offset) for j, lit in enumerate(clause.literals) if j != li)
         else:
             new_lits = clause.literals[:li] + clause.literals[li + 1:]
-        new_goals = retained(extra_lemma=head)
+        new_goals = extended
         if new_lits:
             indices = tuple(j for j in range(len(clause.literals)) if j != li)
-            new_goals = new_goals + (Goal(new_lits, path, goal.lemmas, ci, indices),)
+            new_goals = extended + (Goal(new_lits, path, goal.lemmas, ci, indices),)
         out.append(ProverState(new_goals, sigma2, offset + clause.var_count, state.extensions + 1,
                                state.reductions, (Extension(gi, ci, li), state.trail)))
     return out

@@ -314,9 +314,11 @@ def _loaded(problems: list, args):
 
 
 def cmd_train(args) -> int:
+    if args.engine != "deepening":  # training events come from deepening proofs
+        raise ValueError(f"train runs the deepening engine only, not {args.engine}")
     _check_output_path(args.model_out)
     problems = load_corpus(args.corpus)
-    setup = _setup_from_args(args, engine="deepening")
+    setup = _setup_from_args(args)
     store = Store()
     solved = 0
     for info, matrix in _loaded(problems, args):

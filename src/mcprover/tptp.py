@@ -3,6 +3,8 @@
 Supported: cnf clauses, fof formulas over ~ & | => <= <=> <~> with ! / ?
 quantifiers, infix = and !=, include directives, %- and /* */-comments.
 Conjectures are negated on clausification per the usual refutation setup.
+A predicate whose name starts with `$`, quoted or not, is refused: `$top`
+marks start clauses, and defined predicates such as `$true` are not read.
 
 cnf and fof share one term and atom grammar: an atom is a `terms.Literal`
 over named variables, and `a != b` is a negative equality literal. A cnf
@@ -238,8 +240,9 @@ class _Parser:
             return Literal(nxt.text == "=", EQ_PREDICATE, (term, self.term()))
         if isinstance(term, FVar):
             raise ParseError("a variable is not an atom", nxt.line, nxt.col)
-        if term.functor == TOP_PREDICATE:  # the start literal's, see start_marker
-            raise ParseError(f"the predicate {TOP_PREDICATE} is reserved", start.line, start.col)
+        if term.functor.startswith("$"):  # $top is the start literal's, see start_marker
+            reason = "reserved" if term.functor == TOP_PREDICATE else "a defined predicate, which is not supported"
+            raise ParseError(f"the predicate {term.functor} is {reason}", start.line, start.col)
         return Literal(True, term.functor, term.args)
 
     def term(self):

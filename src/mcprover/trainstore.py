@@ -80,6 +80,12 @@ def key_of(literal: Literal, origin_clause: Clause) -> LiteralKey:
     return LiteralKey(literal_hash(literal), clause_hash(origin_clause))
 
 
+def _clause_keys(clause: Clause) -> tuple:
+    """The key of each literal of `clause`, hashing the clause once."""
+    origin = clause_hash(clause)
+    return tuple(LiteralKey(literal_hash(lit), origin) for lit in clause.literals)
+
+
 @dataclass
 class Stats:
     p: int = 0
@@ -192,10 +198,8 @@ class KeyTable:
     """
 
     def __init__(self, matrix: Matrix):
-        self._table = tuple(
-            tuple(key_of(lit, clause) for lit in clause.literals) for clause in matrix.clauses
-        )
-        self._start = key_of(START_CLAUSE.literals[0], START_CLAUSE)
+        self._table = tuple(_clause_keys(clause) for clause in matrix.clauses)
+        self._start = _clause_keys(START_CLAUSE)[0]
 
     def key(self, clause_index: int, literal_index: int) -> LiteralKey:
         if clause_index < 0:

@@ -15,6 +15,7 @@ nearest city the smallest weight.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -63,10 +64,13 @@ class TspInstance:
         for i, j, dist in edges:
             if not (1 <= i <= n and 1 <= j <= n) or i == j:
                 raise ValueError(f"bad edge ({i}, {j})")
-            if dist < 0:
-                raise ValueError("distances must be nonnegative")
+            if not 0 <= dist < math.inf:
+                raise ValueError(f"the distance of edge ({i}, {j}) must be finite and nonnegative, not {dist}")
+            edge = (min(i, j), max(i, j))
+            if edge in seen:
+                raise ValueError(f"edge ({i}, {j}) is listed twice")
+            seen.add(edge)
             table[i - 1][j - 1] = table[j - 1][i - 1] = float(dist)
-            seen.add((min(i, j), max(i, j)))
         expected = n * (n - 1) // 2
         if len(seen) != expected:
             raise ValueError(f"expected {expected} distinct edges, found {len(seen)}")

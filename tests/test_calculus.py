@@ -282,6 +282,11 @@ _PROBLEM = st.builds(
 # successor's substitution: p(X) becomes p(a) through c2 (only states reached
 # with regularity on have fingerprinted path literals)
 @example("cnf(c0, axiom, p(b)).\ncnf(c1, axiom, ~p(b) | p(a)).\ncnf(c2, axiom, ~p(a) | p(X) | q(X,X)).\n")
+# a path literal's arguments can reach the head's only through chains of
+# variable-to-variable bindings: q(X1,Y1) is pushed with X1->X2 and Y1->Y2 and
+# the head q(Y2,X2) extended into ~q(X3,X3) binds X2->X3 and Y2->X3, so the
+# stored arguments must be followed to the end under that successor's bindings
+@example("cnf(c0, axiom, r).\ncnf(c1, axiom, ~r | q(X,Y)).\ncnf(c2, axiom, ~q(X,Y) | q(Y,X)).\ncnf(c3, axiom, ~q(X,X)).\n")
 def test_regularity_matches_full_path_scan(explore_regular, problem):
     """At every state reached, with the regularity-pruned relation or the
     unpruned one, both options give the reference's successors."""

@@ -381,8 +381,12 @@ EXIT_TWO_CASES = {
     "bench-machine-out-directory": ["bench", "{corpus}", "--machine-out", "{empty}"],
     "train-out-missing-dir": ["train", "{corpus}", "--model-out", "{missing}/m.txt"],
     "train-out-directory": ["train", "{corpus}", "--model-out", "{empty}", "--verbose"],
+    "train-engine-mcts": ["train", "{corpus}", "--engine", "mcts", "--model-out", "{empty}/m.txt", "--verbose"],
     "tsp-brute-force-too-large": ["tsp", "--random", "12", "--brute-force"],
     "tsp-no-cities": ["tsp", "--random", "0"],
+    "tsp-distance-nan": ["tsp", "--instance", "{tsp_nan}"],
+    "tsp-distance-inf": ["tsp", "--instance", "{tsp_inf}", "--brute-force"],
+    "tsp-edge-repeated": ["tsp", "--instance", "{tsp_repeated}"],
     "max-inferences-negative": ["prove", "{problem}", "--max-inferences", "-5"],
     "timeout-negative": ["prove", "{problem}", "--timeout", "-1"],
     "max-iterations-negative": ["prove", "{problem}", "--engine", "mcts", "--max-iterations", "-2"],
@@ -439,9 +443,16 @@ def test_bad_input_exits_two_with_one_error_line(capsys, tmp_path, case):
     top_clause.write_text("cnf(a, axiom, p).\ncnf(b, axiom, ~p | ~$top).\n")
     quoted_top = tmp_path / "quoted_top.p"
     quoted_top.write_text("fof(a, axiom, p).\nfof(b, axiom, ~p | ~'$top').\n")
+    tsp_nan = tmp_path / "tsp_nan.txt"
+    tsp_nan.write_text("3\n1 2 nan\n1 3 2\n2 3 3\n")
+    tsp_inf = tmp_path / "tsp_inf.txt"
+    tsp_inf.write_text("3\n1 2 inf\n1 3 2\n2 3 3\n")
+    tsp_repeated = tmp_path / "tsp_repeated.txt"  # lists edge (1, 2) twice
+    tsp_repeated.write_text("3\n1 2 1\n1 3 2\n2 3 3\n1 2 4\n")
     places = dict(problem=corpus_file("prop_unit.p"), corpus=corpus, bad_model=bad_model, repeated_model=repeated_model,
                   implications=implications, missing=tmp_path / "missing", empty=tmp_path / "empty",
-                  negated_top=negated_top, top_clause=top_clause, quoted_top=quoted_top)
+                  negated_top=negated_top, top_clause=top_clause, quoted_top=quoted_top,
+                  tsp_nan=tsp_nan, tsp_inf=tsp_inf, tsp_repeated=tsp_repeated)
     argv = [arg.format(**places) for arg in EXIT_TWO_CASES[case]]
     if case == SUBPROCESS_CASE:
         done = subprocess.run([sys.executable, "-m", "mcprover.cli", *argv],

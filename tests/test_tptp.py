@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from mcprover.formulas import Binary, Quant
@@ -123,6 +125,20 @@ def test_reserved_start_predicate_rejected(text, col):
     """$top is the start literal's predicate; an input literal on it could
     close the start clause, so it is refused at its position."""
     with pytest.raises(ParseError, match=r"\$top") as err:
+        parse_problem(text)
+    assert (err.value.line, err.value.col) == (1, col)
+
+
+@pytest.mark.parametrize("text, predicate, col", [
+    ("cnf(a, axiom, $false).", "$false", 15),
+    ("fof(c, conjecture, $true).", "$true", 20),
+    ("cnf(b, axiom, p | ~'$true').", "$true", 20),
+    ("fof(d, axiom, ! [X] : (p(X) => $distinct(X, a))).", "$distinct", 32),
+])
+def test_defined_predicates_rejected(text, predicate, col):
+    """A defined predicate read as an ordinary one would make $false
+    satisfiable and $true unprovable, so each is refused at its position."""
+    with pytest.raises(ParseError, match=re.escape(f"predicate {predicate} is a defined predicate")) as err:
         parse_problem(text)
     assert (err.value.line, err.value.col) == (1, col)
 

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import matrix_of
-from mcprover.terms import App, Clause, Literal, Var
+from mcprover import trainstore
+from mcprover.terms import App, Clause, Literal, START_CLAUSE, Var
 from mcprover.trainstore import (
     COUNT_CEILING,
     KeyTable,
@@ -66,6 +67,18 @@ def test_same_axiom_same_key_across_problems():
     ci2 = [i for i, c in enumerate(m2.clauses) if len(c.literals) == 2][0]
     assert k1.key(ci1, 0) == k2.key(ci2, 0)
     assert k1.key(ci1, 1) == k2.key(ci2, 1)
+
+
+def test_key_table_hashes_each_clause_once(monkeypatch):
+    m = matrix_of("cnf(a, axiom, p(X) | ~q(X) | r).\ncnf(b, axiom, q(c) | ~r).\ncnf(c, axiom, ~p(d)).\n")
+    hashed = []
+    clause_hash = trainstore.clause_hash
+    monkeypatch.setattr(trainstore, "clause_hash", lambda clause: hashed.append(clause) or clause_hash(clause))
+    keys = KeyTable(m)
+    assert len(hashed) == len(m.clauses) + 1  # and the start clause
+    for ci, clause in enumerate(m.clauses):
+        assert [keys.key(ci, li) for li in range(len(clause.literals))] == [key_of(lit, clause) for lit in clause.literals]
+    assert keys.key(-1, 0) == key_of(START_CLAUSE.literals[0], START_CLAUSE)
 
 
 def test_no_collisions_on_bundled_corpus():
