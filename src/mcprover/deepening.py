@@ -14,6 +14,16 @@ outcome statistics: a goal literal counts as a success when a reduction
 applied or an extension's opened subgoals all closed (the clause literal it
 connected to shares that success), and as a failure when every alternative
 was exhausted without a closure.
+
+Each round keeps successor lists for the next, so that a deeper round does
+not recompute the expansions the round before made. A state's list is kept
+when two things hold. Its designated goal lies below the round's depth bound,
+so the bound cut nothing from the list and a deeper bound gives the same one.
+Its parent's list was kept, so the next round reaches this very state object;
+a list computed afresh holds new states, which no table knows. A reused list
+is charged and budget-checked like a computed one, so every outcome, count
+and event is unchanged. On branching problems the states below the bound
+multiply with every round, so a round keeps at most _KEPT_EXPANSIONS lists.
 """
 
 from __future__ import annotations
@@ -37,6 +47,11 @@ from .calculus import (
 from .checker import ProofCertificate, certificate_for
 from .terms import Matrix, TOP_PREDICATE
 from .trainstore import KeyTable, LiteralKey
+
+# The most successor lists one round keeps for the next. A chain keeps one
+# list per depth level, but on branching problems the states below the bound
+# multiply with the depth, and so would the memory kept without a cap.
+_KEPT_EXPANSIONS = 1 << 10
 
 
 @dataclass
@@ -110,6 +125,7 @@ class _ChoicePoint:
     untried: Iterator
     goal: Goal
     target: int  # goal-stack height once the head is closed: the goals below plus its remainder
+    kept: bool  # its successor list is kept for the next round
     action: Action | None = None  # the successor being tried, until it first closes the head
     closed_any: bool = False
     head_emitted: bool = False
@@ -118,7 +134,7 @@ class _ChoicePoint:
 class _DepthSearch:
     """One depth-bounded exhaustive search over the successor relation."""
 
-    def __init__(self, matrix, options, bound, deadline, stats, key_table):
+    def __init__(self, matrix, options, bound, deadline, stats, key_table, reused):
         self.matrix = matrix
         self.calc = replace(options.calculus, depth_bound=bound)
         self.cut = options.cut
@@ -128,10 +144,12 @@ class _DepthSearch:
         self.keys = key_table
         self.bound_hit = False
         self.events: list = []
+        self.reused = reused  # the round before's kept lists, by id of their state
+        self.kept: dict = {}  # this round's, for the next: id(state) -> (state, list)
 
-    def run(self):
+    def run(self, root: ProverState):
         """The first closed state, or None once every choice is spent."""
-        stack = [self._expand(initial_state(self.matrix))]
+        stack = [self._expand(root, True)]
         while stack:
             top = stack[-1]
             state = next(top.untried, None)
@@ -161,20 +179,27 @@ class _DepthSearch:
                 # commit to this closure of the outermost closed literal
                 stack[lowest].untried = iter(())
                 del stack[lowest + 1:]
-            stack.append(self._expand(state))
+            stack.append(self._expand(state, top.kept))
         return None
 
-    def _expand(self, state: ProverState) -> _ChoicePoint:
+    def _expand(self, state: ProverState, parent_kept: bool) -> _ChoicePoint:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _OutOfBudget("time")
         if self.inference_cap is not None and self.stats.extension_inferences > self.inference_cap:
             raise _OutOfBudget("inferences")
         goal = state.goals[-1]
-        succs = successors(state, self.matrix, self.calc)
+        # only a state whose parent's list was kept the round before has an
+        # entry, and this round keeps that list again unless the cap is
+        # reached; an entry holds its state, so no other object has its id
+        entry = self.reused.get(id(state)) if parent_kept else None
+        succs = successors(state, self.matrix, self.calc) if entry is None else entry[1]
         self.stats.extension_inferences += extension_count(succs)
+        kept = parent_kept and goal.depth < self.calc.depth_bound and len(self.kept) < _KEPT_EXPANSIONS
+        if kept:
+            self.kept[id(state)] = (state, succs)
         if not self.bound_hit and goal.depth >= self.calc.depth_bound:
             self.bound_hit = has_applicable_extension(state, self.matrix)
-        return _ChoicePoint(iter(succs), goal, len(state.goals) - 1 + (len(goal.clause) > 1))
+        return _ChoicePoint(iter(succs), goal, len(state.goals) - 1 + (len(goal.clause) > 1), kept)
 
     def _closed(self, point: _ChoicePoint):
         """Record that the point's head literal closed; an extension's later
@@ -204,11 +229,13 @@ def prove_iterative(matrix: Matrix, options: DeepeningOptions | None = None) -> 
     deadline = time.monotonic() + options.time_budget if options.time_budget else None
     keys = KeyTable(matrix) if options.collect_training else None
     depth = options.start_depth
+    root = initial_state(matrix)
+    kept: dict = {}
     while True:
         stats.rounds += 1
-        search = _DepthSearch(matrix, options, depth, deadline, stats, keys)
+        search = _DepthSearch(matrix, options, depth, deadline, stats, keys, kept)
         try:
-            final = search.run()
+            final = search.run(root)
         except _OutOfBudget as spent:
             return DeepeningResult(Timeout(spent.args[0]), stats)
         if final is not None:
@@ -220,3 +247,4 @@ def prove_iterative(matrix: Matrix, options: DeepeningOptions | None = None) -> 
         if options.max_depth is not None and depth >= options.max_depth:
             return DeepeningResult(Saturated(depth, complete=False, reason="depth cap reached"), stats)
         depth += options.increment
+        kept = search.kept

@@ -59,8 +59,7 @@ class TspInstance:
     def from_edges(cls, n: int, edges) -> "TspInstance":
         if n < 1:
             raise ValueError(f"an instance needs at least 1 city, not {n}")
-        table = [[0.0] * n for _ in range(n)]
-        seen = set()
+        seen = {}
         for i, j, dist in edges:
             if not (1 <= i <= n and 1 <= j <= n) or i == j:
                 raise ValueError(f"bad edge ({i}, {j})")
@@ -69,11 +68,13 @@ class TspInstance:
             edge = (min(i, j), max(i, j))
             if edge in seen:
                 raise ValueError(f"edge ({i}, {j}) is listed twice")
-            seen.add(edge)
-            table[i - 1][j - 1] = table[j - 1][i - 1] = float(dist)
+            seen[edge] = float(dist)
         expected = n * (n - 1) // 2
-        if len(seen) != expected:
+        if len(seen) != expected:  # before the n x n table, whose size n alone sets
             raise ValueError(f"expected {expected} distinct edges, found {len(seen)}")
+        table = [[0.0] * n for _ in range(n)]
+        for (i, j), dist in seen.items():
+            table[i - 1][j - 1] = table[j - 1][i - 1] = dist
         return cls(tuple(tuple(row) for row in table))
 
     @classmethod

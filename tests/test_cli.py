@@ -1,4 +1,5 @@
 import os
+import resource
 import subprocess
 import sys
 
@@ -387,6 +388,7 @@ EXIT_TWO_CASES = {
     "tsp-distance-nan": ["tsp", "--instance", "{tsp_nan}"],
     "tsp-distance-inf": ["tsp", "--instance", "{tsp_inf}", "--brute-force"],
     "tsp-edge-repeated": ["tsp", "--instance", "{tsp_repeated}"],
+    "tsp-cities-without-edges": ["tsp", "--instance", "{tsp_cities_only}"],
     "max-inferences-negative": ["prove", "{problem}", "--max-inferences", "-5"],
     "timeout-negative": ["prove", "{problem}", "--timeout", "-1"],
     "max-iterations-negative": ["prove", "{problem}", "--engine", "mcts", "--max-iterations", "-2"],
@@ -415,7 +417,15 @@ EXIT_TWO_CASES = {
     "max-depth-below-start": ["prove", "{problem}", "--depth-start", "16", "--max-depth", "2"],
     "max-depth-zero": ["prove", "{problem}", "--max-depth", "0"],
 }
-SUBPROCESS_CASE = "bench-missing-corpus"  # also covers the `python -m` entry point
+# cases run in a child interpreter, which also covers the `python -m` entry
+# point; its address space is capped, so a case that asks for memory in
+# proportion to a number the input names ends in a MemoryError traceback
+SUBPROCESS_CASES = ("bench-missing-corpus", "tsp-cities-without-edges")
+CHILD_ADDRESS_SPACE = 1 << 29
+
+
+def cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
 
 
 def subprocess_env(**extra) -> dict:
@@ -449,14 +459,16 @@ def test_bad_input_exits_two_with_one_error_line(capsys, tmp_path, case):
     tsp_inf.write_text("3\n1 2 inf\n1 3 2\n2 3 3\n")
     tsp_repeated = tmp_path / "tsp_repeated.txt"  # lists edge (1, 2) twice
     tsp_repeated.write_text("3\n1 2 1\n1 3 2\n2 3 3\n1 2 4\n")
+    tsp_cities_only = tmp_path / "tsp_cities_only.txt"  # a full table would hold 400M distances
+    tsp_cities_only.write_text("20000\n")
     places = dict(problem=corpus_file("prop_unit.p"), corpus=corpus, bad_model=bad_model, repeated_model=repeated_model,
                   implications=implications, missing=tmp_path / "missing", empty=tmp_path / "empty",
                   negated_top=negated_top, top_clause=top_clause, quoted_top=quoted_top,
-                  tsp_nan=tsp_nan, tsp_inf=tsp_inf, tsp_repeated=tsp_repeated)
+                  tsp_nan=tsp_nan, tsp_inf=tsp_inf, tsp_repeated=tsp_repeated, tsp_cities_only=tsp_cities_only)
     argv = [arg.format(**places) for arg in EXIT_TWO_CASES[case]]
-    if case == SUBPROCESS_CASE:
-        done = subprocess.run([sys.executable, "-m", "mcprover.cli", *argv],
-                              env=subprocess_env(), capture_output=True, text=True)
+    if case in SUBPROCESS_CASES:
+        done = subprocess.run([sys.executable, "-m", "mcprover.cli", *argv], env=subprocess_env(),
+                              capture_output=True, text=True, preexec_fn=cap_address_space)
         code, out, err = done.returncode, done.stdout, done.stderr
     else:
         code, out, err = run_cli(capsys, *argv)

@@ -1,4 +1,10 @@
+import os
+
+import pytest
+from hypothesis import given, settings
+
 from conftest import matrix_of
+from mcprover import deepening
 from mcprover.checker import check_proof, format_certificate
 from mcprover.deepening import (
     DeepeningOptions,
@@ -10,7 +16,10 @@ from mcprover.deepening import (
 from mcprover.terms import TOP_PREDICATE
 from mcprover.trainstore import KeyTable, key_of
 from mcprover.terms import START_CLAUSE
+from mcprover.cli import bundled_corpus_dir, load_corpus
+from mcprover.clausify import load_matrix
 from oracles import factors_through
+from test_calculus import _PROBLEM
 
 
 def test_unit_pair_proof_at_depth_one(unit_pair_matrix):
@@ -195,3 +204,106 @@ def test_top_connection_target_not_recorded(unit_pair_matrix):
     neg_top_key = keys.key(0, 0)  # the added ~top literal of the prepared clause
     assert unit_pair_matrix.clauses[0].literals[0].predicate == TOP_PREDICATE
     assert all(event.key != neg_top_key for event in res.events)
+
+
+# --- successor lists kept across rounds ----------------------------------------
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+# a branching problem whose states below the bound double with every round
+BRANCHING = """
+cnf(a, axiom, r(c, c)).
+cnf(b, axiom, ~r(X, Y) | r(f(X), Y) | r(Y, X)).
+cnf(c, axiom, ~r(X, Y) | r(X, g(Y))).
+cnf(g, negated_conjecture, ~r(d, d)).
+"""
+
+
+def run_summary(matrix, options):
+    """Everything a run reports, in a form that compares by value."""
+    res = prove_iterative(matrix, options)
+    outcome = res.outcome
+    if isinstance(outcome, Proof):
+        outcome = (format_certificate(outcome.certificate), outcome.depth)
+    return outcome, res.stats, res.events
+
+
+def checked_round(run, sizes):
+    """`_DepthSearch.run` that records how many lists each round kept and
+    checks that it kept only lists of states the next round reaches through
+    kept lists: the root and their successors."""
+    def checked(search, root):
+        try:
+            return run(search, root)
+        finally:
+            sizes.append(len(search.kept))
+            reachable = {id(root)} | {id(s) for _, succs in search.kept.values() for s in succs}
+            assert not search.kept.keys() - reachable
+    return checked
+
+
+def assert_kept_lists_change_nothing(matrix, options, label=""):
+    """A run with no list kept across rounds and one with the cap in force
+    report the same outcome, certificate, depth, counts and events; returns
+    the number of lists each round of the second run kept."""
+    runs = []
+    sizes = []
+    for cap in (0, deepening._KEPT_EXPANSIONS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(deepening, "_KEPT_EXPANSIONS", cap)
+            patch.setattr(deepening._DepthSearch, "run", checked_round(deepening._DepthSearch.run, sizes))
+            runs.append(run_summary(matrix, options))
+    assert runs[0] == runs[1], label
+    assert max(sizes, default=0) <= deepening._KEPT_EXPANSIONS
+    return sizes[runs[0][1].rounds:]
+
+
+@pytest.mark.parametrize("cut", [False, True])
+def test_kept_lists_change_no_corpus_run(cut):
+    for info in load_corpus(bundled_corpus_dir()):
+        options = DeepeningOptions(max_depth=info.depth_bound, cut=cut, collect_training=True)
+        assert_kept_lists_change_nothing(load_matrix(info.path), options, info.name)
+
+
+@pytest.mark.parametrize("budget", [7, 50, 333])
+def test_kept_lists_change_no_budgeted_corpus_run(budget):
+    for info in load_corpus(bundled_corpus_dir()):
+        options = DeepeningOptions(inference_budget=budget, collect_training=True)
+        assert_kept_lists_change_nothing(load_matrix(info.path), options, info.name)
+
+
+def test_kept_lists_change_no_chain_run(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import chains
+
+    for problem in chains.generate(7):
+        options = DeepeningOptions(inference_budget=problem.budget)
+        assert_kept_lists_change_nothing(matrix_of(problem.text), options, problem.name)
+
+
+@pytest.mark.parametrize("cut", [False, True])
+@settings(max_examples=200, deadline=None)
+@given(_PROBLEM)
+def test_kept_lists_change_no_generated_run(cut, problem):
+    options = DeepeningOptions(max_depth=6, inference_budget=2000, cut=cut, collect_training=True)
+    assert_kept_lists_change_nothing(matrix_of(problem), options)
+
+
+def test_chain_expansions_grow_linearly_with_its_length(monkeypatch):
+    """Each round computes only the states the round before cut at its bound,
+    so a chain of n steps, proved in round n + 1, costs O(n) successor calls
+    instead of the O(n^2) of recomputing every round."""
+    n = 300
+    text = "cnf(s, axiom, p0).\n" + "".join(f"cnf(c{i}, axiom, ~p{i} | p{i + 1}).\n" for i in range(n))
+    m = matrix_of(text + f"cnf(g, negated_conjecture, ~p{n}).\n")
+    calls = []
+    compute = deepening.successors
+    monkeypatch.setattr(deepening, "successors", lambda *args: calls.append(1) or compute(*args))
+    res = prove_iterative(m)
+    assert isinstance(res.outcome, Proof) and res.outcome.depth == n + 1
+    assert len(calls) <= 2 * (n + 1)  # the state cut at the bound before, and its successor
+
+
+def test_kept_lists_stay_within_the_cap():
+    sizes = assert_kept_lists_change_nothing(matrix_of(BRANCHING), DeepeningOptions(inference_budget=8000))
+    assert max(sizes) == deepening._KEPT_EXPANSIONS  # the cap binds in the last rounds
