@@ -49,41 +49,12 @@ def format_certificate(cert: ProofCertificate) -> str:
     return "\n".join(lines) + "\n"
 
 
-class CertificateError(Exception):
-    pass
-
-
-def parse_certificate(text: str) -> ProofCertificate:
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
-    if not lines or not lines[0].startswith("proof "):
-        raise CertificateError("missing proof header")
-    digest = lines[0].split()[1]
-    actions: list = []
-    for number, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        try:
-            if parts[0] == "ext" and len(parts) == 4:
-                actions.append(Extension(int(parts[1]), int(parts[2]), int(parts[3])))
-            elif parts[0] == "red" and len(parts) == 3:
-                actions.append(Reduction(int(parts[1]), int(parts[2])))
-            elif parts[0] == "lem" and len(parts) == 3:
-                actions.append(LemmaStep(int(parts[1]), int(parts[2])))
-            else:
-                raise ValueError
-        except ValueError:
-            raise CertificateError(f"malformed certificate line {number}: {line!r}") from None
-    return ProofCertificate(digest, tuple(actions))
-
-
 @dataclass
 class CheckResult:
     accepted: bool
     reason: str = ""
     failed_step: int | None = None
     extension_count: int = 0
-
-    def __bool__(self) -> bool:
-        return self.accepted
 
 
 def check_proof(matrix: Matrix, cert: ProofCertificate) -> CheckResult:

@@ -214,21 +214,23 @@ def equality_axioms(clauses) -> list:
     add([eq(x, x)], 1, ["X"], "eq_reflexive")
     add([eq(x, y, False), eq(y, x)], 2, ["X", "Y"], "eq_symmetric")
     add([eq(x, y, False), eq(y, z, False), eq(x, z)], 3, ["X", "Y", "Z"], "eq_transitive")
+
+    def add_replacement(arity, conclusion, label):
+        """X1 != Y1 | ... | Xn != Yn | conclusion(xs, ys)"""
+        xs = tuple(Var(i) for i in range(arity))
+        ys = tuple(Var(arity + i) for i in range(arity))
+        lits = [eq(a, b, False) for a, b in zip(xs, ys)] + conclusion(xs, ys)
+        names = [f"X{i+1}" for i in range(arity)] + [f"Y{i+1}" for i in range(arity)]
+        add(lits, 2 * arity, names, label)
+
     for (functor, arity) in sorted(functions):
-        xs = [Var(i) for i in range(arity)]
-        ys = [Var(arity + i) for i in range(arity)]
-        lits = [eq(a, b, False) for a, b in zip(xs, ys)]
-        lits.append(eq(App(functor, tuple(xs)), App(functor, tuple(ys))))
-        names = [f"X{i+1}" for i in range(arity)] + [f"Y{i+1}" for i in range(arity)]
-        add(lits, 2 * arity, names, f"eq_congruence_{functor}")
+        add_replacement(arity, lambda xs, ys: [eq(App(functor, xs), App(functor, ys))], f"eq_congruence_{functor}")
     for (predicate, arity) in sorted(predicates):
-        xs = [Var(i) for i in range(arity)]
-        ys = [Var(arity + i) for i in range(arity)]
-        lits = [eq(a, b, False) for a, b in zip(xs, ys)]
-        lits.append(Literal(False, predicate, tuple(xs)))
-        lits.append(Literal(True, predicate, tuple(ys)))
-        names = [f"X{i+1}" for i in range(arity)] + [f"Y{i+1}" for i in range(arity)]
-        add(lits, 2 * arity, names, f"eq_substitution_{predicate}")
+        add_replacement(
+            arity,
+            lambda xs, ys: [Literal(False, predicate, xs), Literal(True, predicate, ys)],
+            f"eq_substitution_{predicate}",
+        )
     return out
 
 

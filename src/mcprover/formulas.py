@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import FVar, Literal, literal_to_str, map_variables, subterms
+from .terms import FVar, Literal, map_variables, subterms
 
 
 @dataclass(frozen=True)
@@ -103,35 +103,3 @@ def subst_var(f: Formula, name: str, replacement) -> Formula:
 
     return unwind(walk(f))
 
-
-# --- canonical printing ---------------------------------------------------
-
-def formula_to_str(f: Formula) -> str:
-    def walk(g, wrap=False):  # `wrap`: parenthesize a quantified formula
-        if isinstance(g, Literal):
-            return literal_to_str(g)
-        if isinstance(g, Not):
-            return "~" + (yield walk(g.body, True))
-        if isinstance(g, Binary):
-            if g.op in ("&", "|"):
-                # flatten the left spine of an associative chain
-                parts = [g.right]
-                node = g.left
-                while isinstance(node, Binary) and node.op == g.op:
-                    parts.append(node.right)
-                    node = node.left
-                parts.append(node)
-                texts = []
-                for part in reversed(parts):
-                    texts.append((yield walk(part, True)))
-                return "(" + f" {g.op} ".join(texts) + ")"
-            return f"({(yield walk(g.left, True))} {g.op} {(yield walk(g.right, True))})"
-        names = [g.var]
-        body = g.body
-        while isinstance(body, Quant) and body.kind == g.kind:
-            names.append(body.var)
-            body = body.body
-        text = f"{g.kind} [{','.join(names)}] : {(yield walk(body, True))}"
-        return f"({text})" if wrap else text
-
-    return unwind(walk(f))

@@ -9,8 +9,6 @@ problem instead of being hashed per state.
 
 from __future__ import annotations
 
-from bisect import insort
-
 from .calculus import CalculusOptions, Extension, ProverState, extension_count, initial_state, successors
 from .guidance import (
     ProvabilityModel,
@@ -73,10 +71,7 @@ class ConnectionGame(MctsProblem):
         self._candidate_sizes = {}
         if self.sim_weights.policy == "rank":
             for key, entries in matrix.index.items():
-                sizes: list = []
-                for ci, _ in entries:
-                    insort(sizes, len(matrix.clauses[ci].literals))
-                self._candidate_sizes[key] = sizes
+                self._candidate_sizes[key] = tuple(sorted(len(matrix.clauses[ci].literals) for ci, _ in entries))
 
     # MctsProblem interface
 
@@ -106,7 +101,7 @@ class ConnectionGame(MctsProblem):
                 clause_size = len(self.matrix.clauses[action.clause].literals)
                 if sizes is None and policy == "rank":
                     head = state.goals[-1].clause[0]
-                    sizes = self._candidate_sizes.get((head.predicate, head.positive), [])
+                    sizes = self._candidate_sizes.get((head.predicate, head.positive), ())
                 out.append(extension_weight(policy, clause_size, sizes))
             else:
                 out.append(self.sim_weights.reduction_weight)

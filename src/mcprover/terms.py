@@ -65,9 +65,6 @@ class Clause:
     var_names: tuple = ()
     label: str = ""
 
-    def __len__(self) -> int:
-        return len(self.literals)
-
     def is_positive(self) -> bool:
         return all(lit.positive for lit in self.literals)
 

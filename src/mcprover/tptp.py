@@ -1,4 +1,4 @@
-"""Reader and canonical printer for TPTP-style cnf problems and a fof subset.
+"""Reader for TPTP-style cnf problems and a fof subset.
 
 Supported: cnf clauses, fof formulas over ~ & | => <= <=> <~> with ! / ?
 quantifiers, infix = and !=, include directives, %- and /* */-comments.
@@ -18,8 +18,8 @@ import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .formulas import Binary, Formula, Not, Quant, formula_to_str, free_vars, unwind
-from .terms import App, Clause, EQ_PREDICATE, FVar, Literal, TOP_PREDICATE, clause_to_str, number_variables
+from .formulas import Binary, Formula, Not, Quant, free_vars, unwind
+from .terms import App, Clause, EQ_PREDICATE, FVar, Literal, TOP_PREDICATE, number_variables
 
 
 class ParseError(Exception):
@@ -369,13 +369,3 @@ def load_problem(path: str, include_dirs: tuple = ()) -> Problem:
     with open(path, encoding="utf-8") as handle:
         return parse_problem(handle.read(), path=path, include_dirs=include_dirs)
 
-
-def print_problem(problem: Problem) -> str:
-    """Canonical text whose re-parse is structurally equal to `problem`."""
-    lines = []
-    for decl in problem.declarations:
-        if isinstance(decl, CnfDecl):
-            lines.append(f"cnf({decl.name}, {decl.role}, {clause_to_str(decl.clause)}).")
-        else:
-            lines.append(f"fof({decl.name}, {decl.role}, {formula_to_str(decl.formula)}).")
-    return "\n".join(lines) + ("\n" if lines else "")

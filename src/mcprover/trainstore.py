@@ -76,10 +76,6 @@ def clause_hash(clause: Clause) -> int:
     return fnv64(bytes(buf))
 
 
-def key_of(literal: Literal, origin_clause: Clause) -> LiteralKey:
-    return LiteralKey(literal_hash(literal), clause_hash(origin_clause))
-
-
 def _clause_keys(clause: Clause) -> tuple:
     """The key of each literal of `clause`, hashing the clause once."""
     origin = clause_hash(clause)

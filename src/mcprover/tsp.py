@@ -100,13 +100,6 @@ class TspInstance:
             edges.append((int(row[0]), int(row[1]), float(row[2])))
         return cls.from_edges(n, edges)
 
-    def dump(self) -> str:
-        lines = [str(self.n)]
-        for i in range(1, self.n + 1):
-            for j in range(i + 1, self.n + 1):
-                lines.append(f"{i} {j} {self.d(i, j):g}")
-        return "\n".join(lines) + "\n"
-
 
 class TspGame(MctsProblem):
     def __init__(self, instance: TspInstance, reading: str = "prose"):
@@ -144,13 +137,6 @@ class TspGame(MctsProblem):
     def is_success(self, state: tuple) -> bool:
         # a tour is never a terminal "win": the search optimizes tour length
         return False
-
-
-def tour_reward(instance: TspInstance, tour) -> float:
-    """Normalized reward of a complete closed tour."""
-    if len(tour) != instance.n:
-        raise ValueError("reward is defined for complete tours only")
-    return TspGame(instance).reward(tuple(tour))
 
 
 def brute_force_optimum(instance: TspInstance) -> tuple:

@@ -1,12 +1,27 @@
-"""Reference operations on substitutions that only the tests use.
+"""Reference code that only the tests use.
 
 The prover itself needs `unify_args`, `pairs_equal_under` and
 `literals_equal_under`; the tests also resolve terms fully, unify single
-terms or literals, and compare substitutions, which these helpers do on top
-of `mcprover.unification`.
+terms or literals, and compare substitutions, which the helpers below do on
+top of `mcprover.unification`. The rest are the references the tests compare
+the prover's own code with, and the writers and readers of the formats the
+tests feed it:
+- `print_problem` and `formula_to_str`, the canonical TPTP printer that the
+  reader's round-trip tests read back;
+- `key_of`, the per-literal training key that `trainstore.KeyTable` tabulates;
+- `dump_instance`, which writes the TSP instance format `TspInstance.parse`
+  reads;
+- `parse_certificate`, the reader of the certificate text that
+  `checker.format_certificate` writes.
 """
 
-from mcprover.terms import App, Literal, Var
+from mcprover.calculus import Extension, LemmaStep, Reduction
+from mcprover.checker import ProofCertificate
+from mcprover.formulas import Binary, Formula, Not, Quant, unwind
+from mcprover.terms import App, Clause, Literal, Var, clause_to_str, literal_to_str
+from mcprover.trainstore import LiteralKey, clause_hash, literal_hash
+from mcprover.tptp import CnfDecl, Problem
+from mcprover.tsp import TspInstance
 from mcprover.unification import Substitution, pairs_equal_under, unify_args
 
 
@@ -60,3 +75,90 @@ def resolve_literal(sigma: Substitution, lit: Literal) -> Literal:
 def terms_equal_under(sigma: Substitution, a, b) -> bool:
     """Structural equality of two terms modulo the substitution."""
     return pairs_equal_under(sigma, [(a, b)])
+
+
+# --- canonical printing -----------------------------------------------------
+
+def formula_to_str(f: Formula) -> str:
+    """Canonical fof text of `f`, walked on an explicit stack by `unwind`, so
+    formulas nest to any depth."""
+    def walk(g, wrap=False):  # `wrap`: parenthesize a quantified formula
+        if isinstance(g, Literal):
+            return literal_to_str(g)
+        if isinstance(g, Not):
+            return "~" + (yield walk(g.body, True))
+        if isinstance(g, Binary):
+            if g.op in ("&", "|"):
+                # flatten the left spine of an associative chain
+                parts = [g.right]
+                node = g.left
+                while isinstance(node, Binary) and node.op == g.op:
+                    parts.append(node.right)
+                    node = node.left
+                parts.append(node)
+                texts = []
+                for part in reversed(parts):
+                    texts.append((yield walk(part, True)))
+                return "(" + f" {g.op} ".join(texts) + ")"
+            return f"({(yield walk(g.left, True))} {g.op} {(yield walk(g.right, True))})"
+        names = [g.var]
+        body = g.body
+        while isinstance(body, Quant) and body.kind == g.kind:
+            names.append(body.var)
+            body = body.body
+        text = f"{g.kind} [{','.join(names)}] : {(yield walk(body, True))}"
+        return f"({text})" if wrap else text
+
+    return unwind(walk(f))
+
+
+def print_problem(problem: Problem) -> str:
+    """Canonical text whose re-parse is structurally equal to `problem`."""
+    lines = []
+    for decl in problem.declarations:
+        if isinstance(decl, CnfDecl):
+            lines.append(f"cnf({decl.name}, {decl.role}, {clause_to_str(decl.clause)}).")
+        else:
+            lines.append(f"fof({decl.name}, {decl.role}, {formula_to_str(decl.formula)}).")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+# --- formats the tests write or read ------------------------------------------
+
+def key_of(literal: Literal, origin_clause: Clause) -> LiteralKey:
+    return LiteralKey(literal_hash(literal), clause_hash(origin_clause))
+
+
+def dump_instance(instance: TspInstance) -> str:
+    """The instance file text that `TspInstance.parse` reads back."""
+    lines = [str(instance.n)]
+    for i in range(1, instance.n + 1):
+        for j in range(i + 1, instance.n + 1):
+            lines.append(f"{i} {j} {instance.d(i, j):g}")
+    return "\n".join(lines) + "\n"
+
+
+class CertificateError(Exception):
+    pass
+
+
+def parse_certificate(text: str) -> ProofCertificate:
+    lines = [line.strip() for line in text.splitlines() if line.strip()]
+    if not lines or not lines[0].startswith("proof "):
+        raise CertificateError("missing proof header")
+    digest = lines[0].split()[1]
+    actions: list = []
+    for number, line in enumerate(lines[1:], start=2):
+        parts = line.split()
+        try:
+            if parts[0] == "ext" and len(parts) == 4:
+                actions.append(Extension(int(parts[1]), int(parts[2]), int(parts[3])))
+            elif parts[0] == "red" and len(parts) == 3:
+                actions.append(Reduction(int(parts[1]), int(parts[2])))
+            elif parts[0] == "lem" and len(parts) == 3:
+                actions.append(LemmaStep(int(parts[1]), int(parts[2])))
+            else:
+                raise ValueError
+        except ValueError:
+            raise CertificateError(f"malformed certificate line {number}: {line!r}") from None
+    return ProofCertificate(digest, tuple(actions))

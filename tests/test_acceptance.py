@@ -26,7 +26,7 @@ from mcprover.guidance import (
 from mcprover.mcts import MctsProblem, MctsTree, SearchConfig, mcts_step, uct_value
 from mcprover.proving import ConnectionGame
 from mcprover.trainstore import Store, merge_stores
-from mcprover.tsp import TspGame, TspInstance, brute_force_optimum, tour_reward
+from mcprover.tsp import TspGame, TspInstance, brute_force_optimum
 from test_trainstore import random_store
 from test_unification import agreement_case, ref_unify
 from mcprover.unification import EMPTY_SUBSTITUTION
@@ -362,7 +362,7 @@ def test_criterion_11_tsp_validation():
     for i in range(10):
         instance = TspInstance.random(6, seed=500 + i)
         _, best_length = brute_force_optimum(instance)
-        goal = tour_reward(instance, brute_force_optimum(instance)[0])
+        goal = TspGame(instance).reward(brute_force_optimum(instance)[0])
         game = TspGame(instance, reading="prose")
         for seed in range(20):
             config = SearchConfig(

@@ -3,14 +3,13 @@ import pytest
 from conftest import matrix_of
 from mcprover.calculus import Extension, Reduction
 from mcprover.checker import (
-    CertificateError,
     ProofCertificate,
     certificate_for,
     check_proof,
     format_certificate,
-    parse_certificate,
 )
 from mcprover.deepening import DeepeningOptions, prove_iterative
+from oracles import CertificateError, parse_certificate
 
 
 def test_two_step_proof_accepted(unit_pair_matrix):

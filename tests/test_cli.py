@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import mcprover
-from mcprover.checker import check_proof, parse_certificate
+from mcprover.checker import check_proof
 from mcprover.cli import (
     _ENGINE_FLAGS,
     _parse_config_spec,
@@ -19,6 +19,7 @@ from mcprover.cli import (
 from mcprover.clausify import clausify, prepare_matrix
 from mcprover.tptp import load_problem
 from mcprover.trainstore import Store
+from oracles import dump_instance, parse_certificate
 
 
 def corpus_file(name):
@@ -316,7 +317,7 @@ def test_tsp_instance_file(capsys, tmp_path):
     from mcprover.tsp import TspInstance
 
     inst = tmp_path / "inst.txt"
-    inst.write_text(TspInstance.random(4, seed=2).dump())
+    inst.write_text(dump_instance(TspInstance.random(4, seed=2)))
     code, out, _ = run_cli(capsys, "tsp", "--instance", str(inst), "--iterations", "500", "--brute-force")
     assert code == 0
     assert "best tour" in out

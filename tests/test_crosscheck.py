@@ -2,7 +2,7 @@
 cnf problems: every proof replays, and the engines agree on provability
 where either one settles it."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import matrix_of
 from mcprover import mcts
@@ -17,6 +17,14 @@ MAX_DEPTH = 6
 INFERENCES = 5000
 MCTS = SearchConfig(seed=0, max_iterations=300, max_sim_depth=8)
 MCTS_INFERENCES = 1000
+# proves without the cut (X = b); the cut commits to the first closure of
+# p(X), by ~p(a), and leaves q(a), which no clause closes
+CUT_PRUNES = (
+    "cnf(c0, axiom, p(X) | q(X)).\n"
+    "cnf(c1, axiom, ~p(a)).\n"
+    "cnf(c2, axiom, ~p(b)).\n"
+    "cnf(c3, axiom, ~q(b)).\n"
+)
 
 
 def deepening(matrix, cut):
@@ -26,6 +34,7 @@ def deepening(matrix, cut):
 
 @settings(max_examples=600, deadline=None)
 @given(_PROBLEM)
+@example(CUT_PRUNES)
 def test_engines_agree_and_their_proofs_replay(problem):
     m = matrix_of(problem)
     plain, cut = deepening(m, cut=False), deepening(m, cut=True)
@@ -42,3 +51,10 @@ def test_engines_agree_and_their_proofs_replay(problem):
     if isinstance(cut, Proof):
         # the cut only drops alternatives, so the full search at the same bound proves too
         assert isinstance(plain, Proof) and plain.depth <= cut.depth
+
+
+def test_cut_drops_the_only_proof():
+    m = matrix_of(CUT_PRUNES)
+    plain, cut = deepening(m, cut=False), deepening(m, cut=True)
+    assert isinstance(plain, Proof) and plain.depth == 1
+    assert isinstance(cut, Saturated) and cut.reason == "exhausted under cut"

@@ -14,8 +14,7 @@ from mcprover.deepening import (
     prove_iterative,
 )
 from mcprover.terms import TOP_PREDICATE
-from mcprover.trainstore import KeyTable, key_of
-from mcprover.terms import START_CLAUSE
+from mcprover.trainstore import KeyTable
 from mcprover.cli import bundled_corpus_dir, load_corpus
 from mcprover.clausify import load_matrix
 from oracles import factors_through
@@ -111,7 +110,7 @@ def event_counts(matrix, events):
         for li, lit in enumerate(clause.literals):
             sign = "" if lit.positive else "~"
             names[keys.key(ci, li)] = f"{sign}{lit.predicate}"
-    names[key_of(START_CLAUSE.literals[0], START_CLAUSE)] = "top"
+    names[keys.key(-1, 0)] = "top"
     out = {}
     for event in events:
         label = names[event.key]

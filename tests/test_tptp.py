@@ -4,7 +4,8 @@ import pytest
 
 from mcprover.formulas import Binary, Quant
 from mcprover.terms import App, EQ_PREDICATE, Literal, Var
-from mcprover.tptp import CnfDecl, FofDecl, ParseError, parse_problem, print_problem
+from mcprover.tptp import CnfDecl, FofDecl, ParseError, parse_problem
+from oracles import print_problem
 
 
 def test_cnf_clause_literals():

