@@ -1,11 +1,13 @@
 """Generic single-player Monte Carlo tree search with UCT selection.
 
-Problems plug in via MctsProblem: a successor relation, transition weights
-that bias random playouts, a reward in [0, 1] and a success test. One search
-iteration selects a tree node by UCT, draws one of its unexplored successor
-states (weight-biased), adds a single new leaf, runs a non-backtracking
-random playout, and backpropagates the playout reward to the root. The order
-of the middle steps depends on the expansion policy:
+Problems plug in via MctsProblem: a successor relation, weights that bias
+the random draw among one state's successors, a reward in [0, 1] and a
+success test. A solution is the success state a playout reaches; a problem
+that needs the path to it keeps the path in its states. One search iteration
+selects a tree node by UCT, draws one of its unexplored successor states
+(weight-biased), adds a single new leaf, runs a non-backtracking random
+playout, and backpropagates the playout reward to the root. The order of the
+middle steps depends on the expansion policy:
 
 - first: the drawn state becomes the leaf, with its successors unexplored,
   before the playout from it; the playout's first step asks for the same
@@ -46,9 +48,9 @@ class MctsProblem:
         asked for the same state."""
         raise NotImplementedError
 
-    def weights(self, state, candidates) -> list:
-        """Transition weights of the candidate successors of `state`, which
-        bias random playouts; uniform by default."""
+    def weights(self, candidates) -> list:
+        """Transition weights of `candidates`, the successors of one state,
+        which bias the expansion and playout draws; uniform by default."""
         return [1.0] * len(candidates)
 
     def reward(self, state) -> float:
@@ -73,7 +75,6 @@ class SearchConfig:
     time_budget: float | None = None
     expansion: str = "first"  # first | best
     seed: int = 0
-    reward_goal: float | None = None
 
     def validate(self):
         # NaN fails every comparison, so each check below rejects it
@@ -124,23 +125,28 @@ def draw_index(rng: random.Random, weights) -> int:
     return len(weights) - 1
 
 
+def _draw(problem: MctsProblem, candidates: list, rng: random.Random) -> int:
+    """A weight-biased index into `candidates`; a lone candidate takes no
+    random number."""
+    if len(candidates) == 1:
+        return 0
+    return draw_index(rng, problem.weights(candidates))
+
+
 def simulate(start, problem: MctsProblem, max_depth: int, rng: random.Random):
     """Random playout from `start`, no backtracking. Returns the sequence of
     states after `start` plus whether the last state reached is a success."""
-    trajectory = []
+    states = []
     state = start
-    while len(trajectory) < max_depth:
+    while len(states) < max_depth:
         if problem.is_success(state):
             break
         succs = problem.successors(state)
         if not succs:
             break
-        if len(succs) == 1:
-            state = succs[0]
-        else:
-            state = succs[draw_index(rng, problem.weights(state, succs))]
-        trajectory.append(state)
-    return trajectory, problem.is_success(state)
+        state = succs[_draw(problem, succs, rng)]
+        states.append(state)
+    return states, problem.is_success(state)
 
 
 class MctsNode:
@@ -164,18 +170,6 @@ class SearchStats:
     best_state: object = None
 
 
-class MctsTree:
-    def __init__(self, problem: MctsProblem, root_state):
-        self.problem = problem
-        self.root = MctsNode(root_state)
-        self.root.unexplored = list(problem.successors(root_state))
-        self.stats = SearchStats()
-
-    @property
-    def exhausted(self) -> bool:
-        return not self.root.unexplored and not self.root.children
-
-
 def _leaf(problem: MctsProblem, state) -> MctsNode:
     """A new tree node for `state`, with its successors unexplored."""
     leaf = MctsNode(state)
@@ -184,11 +178,21 @@ def _leaf(problem: MctsProblem, state) -> MctsNode:
     return leaf
 
 
+class MctsTree:
+    def __init__(self, problem: MctsProblem, root_state):
+        self.problem = problem
+        self.root = _leaf(problem, root_state)
+        self.stats = SearchStats()
+
+    @property
+    def exhausted(self) -> bool:
+        return not self.root.unexplored and not self.root.children
+
+
 def mcts_step(tree: MctsTree, config: SearchConfig, rng: random.Random, iteration: int):
     """One selection/simulation/expansion/backpropagation round.
 
-    Returns the list of states from the root to a success state when the
-    playout finished a solution, else None.
+    Returns the success state when the playout reached one, else None.
     """
     problem = tree.problem
     stats = tree.stats
@@ -205,23 +209,19 @@ def mcts_step(tree: MctsTree, config: SearchConfig, rng: random.Random, iteratio
         node = children[0] if len(children) == 1 else max(children, key=uct_key(node.visits, cp))
         path.append(node)
 
-    if len(node.unexplored) == 1:
-        idx = 0
-    else:
-        idx = draw_index(rng, problem.weights(node.state, node.unexplored))
-    action_state = node.unexplored.pop(idx)
+    action_state = node.unexplored.pop(_draw(problem, node.unexplored, rng))
 
     # first-node expansion builds the leaf before the playout, whose first
     # step then asks the problem for the same successors again
     child = _leaf(problem, action_state) if config.expansion == "first" else None
-    trajectory, success = simulate(action_state, problem, config.max_sim_depth, rng)
-    chain = [action_state] + trajectory
-    final = chain[-1]
+    playout, success = simulate(action_state, problem, config.max_sim_depth, rng)
+    final = playout[-1] if playout else action_state
     reward = problem.reward(final)
     if not 0.0 <= reward <= 1.0:
         raise ValueError(f"reward {reward} outside [0, 1]")
 
     if child is None:
+        chain = [action_state, *playout]
         pick = min(range(len(chain)), key=lambda i: (problem.openness(chain[i]), i))
         child = _leaf(problem, chain[pick])
     node.children.append(child)
@@ -244,16 +244,12 @@ def mcts_step(tree: MctsTree, config: SearchConfig, rng: random.Random, iteratio
         stats.deletions += 1
         i -= 1
 
-    if success:
-        return [walk.state for walk in path[1:-1]] + chain
-    return None
+    return final if success else None
 
 
 @dataclass
 class Solution:
     final_state: object
-    trajectory: list
-    by_reward_goal: bool = False
 
 
 @dataclass
@@ -277,7 +273,8 @@ class MctsResult:
 
 
 def run(problem: MctsProblem, config: SearchConfig | None = None, stop=None) -> MctsResult:
-    """Iterate mcts_step until a solution, exhaustion, or a spent budget.
+    """Iterate mcts_step until a solution, exhaustion, a spent budget, or
+    `stop()` returning true, which is asked before every iteration.
 
     The random stream is a single seeded generator per search, consumed only
     by the unexplored-action draw and the playout steps, so equal seeds give
@@ -291,7 +288,7 @@ def run(problem: MctsProblem, config: SearchConfig | None = None, stop=None) -> 
     init = problem.initial_state()
     if problem.is_success(init):
         stats = SearchStats(best_reward=problem.reward(init), best_state=init)
-        return MctsResult(Solution(init, []), stats)
+        return MctsResult(Solution(init), stats)
 
     tree = MctsTree(problem, init)
     stats = tree.stats
@@ -312,11 +309,8 @@ def run(problem: MctsProblem, config: SearchConfig | None = None, stop=None) -> 
             break
         iteration += 1
         stats.iterations = iteration
-        solved_path = mcts_step(tree, config, rng, iteration)
-        if solved_path is not None:
-            outcome = Solution(solved_path[-1], solved_path)
-            break
-        if config.reward_goal is not None and stats.best_reward >= config.reward_goal:
-            outcome = Solution(stats.best_state, [], by_reward_goal=True)
+        final = mcts_step(tree, config, rng, iteration)
+        if final is not None:
+            outcome = Solution(final)
             break
     return MctsResult(outcome, stats)

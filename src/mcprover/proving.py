@@ -27,12 +27,13 @@ from .trainstore import KeyTable
 class ConnectionGame(MctsProblem):
     """The connection calculus as an MctsProblem.
 
-    `extension_inferences` sums `extension_count` over the successors of
-    every `successors` request, which is what inference budgets are charged.
-    The last request is remembered, keyed by the identity of its state:
-    asking again for the same state object, as a first-node expansion and its
-    playout do, returns the same list without recomputing it, and is still
-    charged its extensions."""
+    The engine asks for the successors of open states only; a solution's
+    final state holds the whole proof in its trail. `extension_inferences`
+    sums `extension_count` over the successors of every `successors` request,
+    which is what inference budgets are charged. The last request is
+    remembered, keyed by the identity of its state: asking again for the same
+    state object, as a first-node expansion and its playout do, returns the
+    same list without recomputing it, and is still charged its extensions."""
 
     def __init__(
         self,
@@ -51,11 +52,10 @@ class ConnectionGame(MctsProblem):
         # (state, successor list, extension count) of the last computed request
         self._last = (None, None, 0)
 
-        # provability value per matrix literal position, plus the start goal
-        if len(self.model) == 0:
-            self._values = None
-            self._start_value = 1.0
-        else:
+        # provability value per matrix literal position, plus the start
+        # goal's; without a model every value is 1 and no reward reads them
+        self._values = None
+        if len(self.model):
             keys = KeyTable(matrix)
             config = self.reward_config
             self._values = tuple(
@@ -79,8 +79,6 @@ class ConnectionGame(MctsProblem):
         return initial_state(self.matrix)
 
     def successors(self, state: ProverState) -> list:
-        if state.is_closed:
-            return []
         last_state, last_list, last_extensions = self._last
         if last_state is state:
             self.extension_inferences += last_extensions
@@ -91,18 +89,19 @@ class ConnectionGame(MctsProblem):
         self._last = (state, out, extensions)
         return out
 
-    def weights(self, state: ProverState, candidates) -> list:
+    def weights(self, candidates) -> list:
         policy = self.sim_weights.policy
         out = []
         sizes = None
         for successor in candidates:
             action = successor.trail[0]
             if isinstance(action, Extension):
-                clause_size = len(self.matrix.clauses[action.clause].literals)
+                literals = self.matrix.clauses[action.clause].literals
                 if sizes is None and policy == "rank":
-                    head = state.goals[-1].clause[0]
-                    sizes = self._candidate_sizes.get((head.predicate, head.positive), ())
-                out.append(extension_weight(policy, clause_size, sizes))
+                    # the index files this literal under the head's key
+                    lit = literals[action.literal]
+                    sizes = self._candidate_sizes.get((lit.predicate, not lit.positive), ())
+                out.append(extension_weight(policy, len(literals), sizes))
             else:
                 out.append(self.sim_weights.reduction_weight)
         return out
@@ -110,7 +109,7 @@ class ConnectionGame(MctsProblem):
     def reward(self, state: ProverState) -> float:
         config = self.reward_config
         ratio = subgoal_ratio(state.open_count, state.opened_total, config.raw_ratio)
-        model = state_provability(state, self._literal_value, config.combiner)
+        model = 1.0 if self._values is None else state_provability(state, self._literal_value, config.combiner)
         return reward_value(ratio, model, config)
 
     def is_success(self, state: ProverState) -> bool:
@@ -120,8 +119,6 @@ class ConnectionGame(MctsProblem):
         return state.open_count
 
     def _literal_value(self, clause_index: int, literal_index: int) -> float:
-        if self._values is None:
-            return 1.0
         if clause_index < 0:
             return self._start_value
         return self._values[clause_index][literal_index]

@@ -120,7 +120,7 @@ class TspGame(MctsProblem):
         visited = set(state)
         return [state + (city,) for city in range(1, self.instance.n + 1) if city not in visited]
 
-    def weights(self, state: tuple, candidates) -> list:
+    def weights(self, candidates) -> list:
         costs = [self.instance.tour_length(c, closed=False) for c in candidates]
         if self.reading == "prose":
             return [1.0 / sum(1 for other in costs if other <= cost) for cost in costs]

@@ -19,9 +19,6 @@ class Substitution:
         # var id -> bound term, or None when unbound
         self.lookup = self._bindings.get
 
-    def __len__(self) -> int:
-        return len(self._bindings)
-
     def extended(self, bindings: dict) -> "Substitution":
         merged = self._bindings.copy()
         merged.update(bindings)

@@ -9,7 +9,6 @@ import random
 
 import pytest
 
-from conftest import matrix_of
 from mcprover import mcts
 from mcprover.checker import check_proof, certificate_for
 from mcprover.cli import bundled_corpus_dir, load_corpus
@@ -356,6 +355,17 @@ def test_criterion_10_training_pipeline(tmp_path):
     report(10, "training pipeline determinism and merge laws")
 
 
+class BestRewardTsp(TspGame):
+    """Remembers the best reward it returned, so a search can stop there."""
+
+    best = -1.0
+
+    def reward(self, state):
+        value = super().reward(state)
+        self.best = max(self.best, value)
+        return value
+
+
 def test_criterion_11_tsp_validation():
     total = 0
     found = 0
@@ -363,15 +373,14 @@ def test_criterion_11_tsp_validation():
         instance = TspInstance.random(6, seed=500 + i)
         _, best_length = brute_force_optimum(instance)
         goal = TspGame(instance).reward(brute_force_optimum(instance)[0])
-        game = TspGame(instance, reading="prose")
         for seed in range(20):
+            game = BestRewardTsp(instance, reading="prose")
             config = SearchConfig(
                 seed=seed,
                 max_iterations=20000,
                 max_sim_depth=instance.n,
-                reward_goal=goal,
             )
-            result = mcts.run(game, config)
+            result = mcts.run(game, config, stop=lambda: game.best >= goal)
             total += 1
             best_state = result.stats.best_state
             assert best_state is not None

@@ -4,7 +4,8 @@ the package or the benchmark. Code that only the tests need lives in
 
 A name counts as used where an AST `Name` or `Attribute` node outside its own
 definition refers to it; mentions in docstrings, comments and import lists do
-not count.
+not count. No module of the package or the tests imports a name it never
+reads.
 """
 
 import ast
@@ -56,3 +57,39 @@ def test_every_public_name_in_the_package_has_a_caller():
                 unused.append(f"{os.path.basename(path)}:{node.name}")
     assert unused == []
     assert ALLOWED <= public
+
+
+def _unused_imports(tree):
+    """(name, line) of every name an import binds that no Name node of its
+    scope reads. The scope is the innermost function around the import, else
+    the module, and reads in nested functions count for it."""
+    scope_of = {}
+
+    def assign(scope, node):
+        for child in ast.iter_child_nodes(node):
+            scope_of[child] = scope
+            assign(child if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope, child)
+
+    assign(tree, tree)
+    unused = []
+    for node, scope in scope_of.items():
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        read = {name.id for name in ast.walk(scope) if isinstance(name, ast.Name)}
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in read:
+                unused.append((bound, node.lineno))
+    return unused
+
+
+def test_no_unused_imports():
+    tests = os.path.dirname(os.path.abspath(__file__))
+    unused = [
+        f"{os.path.relpath(path, ROOT)}:{line}: {name}"
+        for path in _python_files(PACKAGE) + _python_files(tests)
+        for name, line in _unused_imports(_parse(path))
+    ]
+    assert unused == []

@@ -15,7 +15,7 @@ from mcprover.calculus import (
 )
 from mcprover.clausify import load_matrix, prepare_matrix
 from mcprover.cli import bundled_corpus_dir
-from mcprover.terms import App, Clause, Literal, Matrix, TOP, Var
+from mcprover.terms import App, Clause, Literal, Matrix, TOP
 from mcprover.unification import literals_equal_under
 from oracles import bindings
 
@@ -123,10 +123,10 @@ def test_reduction_closes_against_path():
 
 def test_immutability_of_parent_states(unit_pair_matrix):
     s0 = initial_state(unit_pair_matrix)
-    snapshot = (s0.goals, s0.opened_total, s0.fresh_var, s0.extensions, s0.reductions, len(s0.sigma))
+    snapshot = (s0.goals, s0.opened_total, s0.fresh_var, s0.extensions, s0.reductions, len(bindings(s0.sigma)))
     for s1 in successors(s0, unit_pair_matrix):
         successors(s1, unit_pair_matrix)
-    assert (s0.goals, s0.opened_total, s0.fresh_var, s0.extensions, s0.reductions, len(s0.sigma)) == snapshot
+    assert (s0.goals, s0.opened_total, s0.fresh_var, s0.extensions, s0.reductions, len(bindings(s0.sigma))) == snapshot
 
 
 def test_extension_renames_variables_fresh():

@@ -1,8 +1,10 @@
 import pytest
 
 from conftest import matrix_of
-from mcprover.calculus import Extension, Reduction
+from mcprover import cli
+from mcprover.calculus import Extension, LemmaStep, Reduction
 from mcprover.checker import (
+    CheckResult,
     ProofCertificate,
     certificate_for,
     check_proof,
@@ -75,6 +77,49 @@ cnf(c3, axiom, ~q).
     verdict = check_proof(m, cert)
     assert verdict.accepted
     assert parse_certificate(format_certificate(cert)) == cert
+
+
+# clauses 0..3: ~$top | p(b) | r, ~p(b) | p(a), ~p(a) | ~p(b), ~r | p(b)
+LEMMA_AND_REDUCTION = """
+cnf(s, negated_conjecture, p(b) | r).
+cnf(t, axiom, ~p(b) | p(a)).
+cnf(u, axiom, ~p(a) | ~p(b)).
+cnf(v, axiom, ~r | p(b)).
+"""
+# step 3 closes ~p(b) against p(b) on its path ($top, p(b), p(a)); step 4
+# extends r, whose lemmas are (p(b),); step 5 closes p(b) by that lemma
+VALID = (Extension(0, 0, 0), Extension(0, 1, 0), Extension(1, 2, 0),
+         Reduction(1, 1), Extension(0, 3, 0), LemmaStep(0, 0))
+
+
+@pytest.mark.parametrize("step, fault, reason", [
+    (6, Extension(0, 0, 0), "action after all branches closed"),
+    (3, Reduction(1, 0), "reduction against a non-complementary literal"),
+    (3, Reduction(1, 2), "reduction unification failure"),
+    (5, LemmaStep(0, 1), "lemma index out of range"),
+    (4, LemmaStep(0, 0), "lemma literal differs under the substitution"),
+    (4, Extension(0, 4, 0), "clause index out of range"),
+    (4, Extension(0, 3, 2), "literal index out of range"),
+    (4, Extension(0, 0, 2), "extension against a non-complementary literal"),
+])
+def test_planted_fault_rejected_at_its_step(step, fault, reason):
+    m = matrix_of(LEMMA_AND_REDUCTION)
+    assert check_proof(m, ProofCertificate(m.digest, VALID)).accepted
+    actions = VALID[:step] + (fault,) + VALID[step + 1:]
+    result = check_proof(m, ProofCertificate(m.digest, actions))
+    assert result.accepted is False
+    assert result.reason == reason
+    assert result.failed_step == step
+
+
+def test_prove_exits_two_when_the_checker_rejects(capsys, monkeypatch, tmp_path):
+    problem = tmp_path / "pair.p"
+    problem.write_text("cnf(c1, axiom, p).\ncnf(c2, axiom, ~p).\n")
+    monkeypatch.setattr(cli, "check_proof", lambda matrix, cert: CheckResult(False, "planted"))
+    assert cli.main(["prove", str(problem)]) == 2
+    captured = capsys.readouterr()
+    assert "checker    : rejected: planted" in captured.out
+    assert "error: emitted certificate was rejected by the checker" in captured.err
 
 
 def test_malformed_certificate_text():

@@ -274,6 +274,20 @@ def test_train_shared_axioms_merge(capsys, tmp_path):
     assert max(stats.p for stats in store.entries.values()) >= 2
 
 
+@pytest.mark.parametrize("command", ["train", "bench"])
+def test_corpus_file_that_does_not_parse_is_skipped(capsys, tmp_path, command):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "bad.p").write_text("cnf(c1, axiom, p(X")
+    (corpus / "good.p").write_text("cnf(c1, axiom, p).\ncnf(c2, axiom, ~p).\n")
+    model_out = ["--model-out", str(tmp_path / "model.txt")] if command == "train" else []
+    code, out, err = run_cli(capsys, command, str(corpus), *model_out)
+    assert code == 0
+    assert "warning: skipping bad: " in err
+    assert "good" not in err
+    assert "solved 1/2" in out
+
+
 def test_bench_unique_sets(capsys, tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
@@ -327,6 +341,47 @@ def test_show_prints_prepared_matrix(capsys):
     code, out, _ = run_cli(capsys, "show", corpus_file("prop_unit.p"))
     assert code == 0
     assert "~$top | p" in out
+
+
+# p/1 and p/2 share the predicate symbol: index candidates and reduction
+# partners of the other arity never unify
+ARITY_OVERLOAD = {
+    "apart": ("cnf(a, axiom, p(a)).\ncnf(b, axiom, ~p(a, b)).\n",
+              "cnf(a, axiom, ~$top | p(a)).\ncnf(b, axiom, ~p(a,b)).\n"),
+    "joined": ("cnf(a, axiom, p(a)).\ncnf(b, axiom, p(a, b)).\ncnf(c, axiom, ~p(a, b) | ~p(a)).\n",
+               "cnf(a, axiom, ~$top | p(a)).\ncnf(b, axiom, ~$top | p(a,b)).\ncnf(c, axiom, ~p(a,b) | ~p(a)).\n"),
+}
+
+
+@pytest.mark.parametrize("engine, outcome", [("deepening", "saturated"), ("mcts", "exhausted")])
+def test_predicate_overloaded_by_arity_has_no_proof(capsys, tmp_path, engine, outcome):
+    problem = tmp_path / "apart.p"
+    problem.write_text(ARITY_OVERLOAD["apart"][0])
+    code, out, _ = run_cli(capsys, "prove", str(problem), "--engine", engine)
+    assert code == 1
+    assert f"outcome    : {outcome}" in out
+
+
+@pytest.mark.parametrize("engine", ["deepening", "mcts"])
+def test_predicate_overloaded_by_arity_is_proved_and_checked(capsys, tmp_path, engine):
+    problem = tmp_path / "joined.p"
+    problem.write_text(ARITY_OVERLOAD["joined"][0])
+    proof = tmp_path / "joined.proof"
+    code, out, _ = run_cli(capsys, "prove", str(problem), "--engine", engine, "--proof-out", str(proof))
+    assert code == 0
+    assert "extensions : 3\nreductions : 1\n" in out
+    assert "checker    : accepted" in out
+    matrix = prepare_matrix(clausify(load_problem(str(problem))))
+    assert check_proof(matrix, parse_certificate(proof.read_text())).accepted
+
+
+@pytest.mark.parametrize("name", sorted(ARITY_OVERLOAD))
+def test_show_keeps_predicates_overloaded_by_arity(capsys, tmp_path, name):
+    problem = tmp_path / f"{name}.p"
+    problem.write_text(ARITY_OVERLOAD[name][0])
+    code, out, _ = run_cli(capsys, "show", str(problem))
+    assert code == 0
+    assert out == ARITY_OVERLOAD[name][1]
 
 
 @pytest.mark.parametrize("item", [

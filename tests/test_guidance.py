@@ -141,9 +141,9 @@ def test_game_weights_positive_and_policy_sensitive():
     s = initial_state(m)
     s = successors(s, m)[0]
     succs = successors(s, m)
-    constant = ConnectionGame(m).weights(s, succs)
-    inverse = ConnectionGame(m, weights=SimulationWeights("inverse")).weights(s, succs)
-    rank = ConnectionGame(m, weights=SimulationWeights("rank")).weights(s, succs)
+    constant = ConnectionGame(m).weights(succs)
+    inverse = ConnectionGame(m, weights=SimulationWeights("inverse")).weights(succs)
+    rank = ConnectionGame(m, weights=SimulationWeights("rank")).weights(succs)
     assert constant == [1.0, 1.0]
     assert inverse == [0.5, pytest.approx(1 / 3)]
     assert rank == [1.0, 0.5]

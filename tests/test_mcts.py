@@ -102,7 +102,7 @@ class WeightedPick(MctsProblem):
     def successors(self, state):
         return list(range(len(self._weights))) if state is None else []
 
-    def weights(self, state, candidates):
+    def weights(self, candidates):
         return [self._weights[c] for c in candidates]
 
     def reward(self, state):
@@ -290,11 +290,11 @@ def test_rewards_outside_unit_interval_rejected():
 
 # --- full runs -------------------------------------------------------------------
 
-def test_initial_success_returns_empty_trajectory():
+def test_initial_success_is_the_solution():
     problem = ChainToGoal(0)
     result = run(problem, SearchConfig())
     assert isinstance(result.outcome, Solution)
-    assert result.outcome.trajectory == []
+    assert result.outcome.final_state == 0
     assert result.stats.iterations == 0
 
 
@@ -337,11 +337,11 @@ def test_same_seed_same_trace():
     assert trace(9) != trace(10)
 
 
-def test_solution_trajectory_is_root_to_goal_path():
+def test_solution_is_the_goal_state():
     problem = ChainToGoal(4)
     result = run(problem, SearchConfig(seed=0, max_sim_depth=2))
     assert isinstance(result.outcome, Solution)
-    assert result.outcome.trajectory == [1, 2, 3, 4]
+    assert result.outcome.final_state == 4
 
 
 def test_zero_reward_arm_keeps_accruing_visits():
@@ -377,13 +377,12 @@ def test_zero_reward_arm_keeps_accruing_visits():
     assert all(b > a for a, b in zip(checkpoints, checkpoints[1:]))
 
 
-def test_reward_goal_short_circuits():
-    problem = InfiniteTree(width=2, reward=0.5)
-    config = SearchConfig(max_iterations=1000, reward_goal=0.4)
-    result = run(problem, config)
-    assert isinstance(result.outcome, Solution)
-    assert result.outcome.by_reward_goal
-    assert result.stats.iterations == 1
+def test_stop_is_asked_before_every_iteration():
+    asked = []
+    result = run(InfiniteTree(), SearchConfig(max_iterations=1000),
+                 stop=lambda: asked.append(True) or len(asked) == 4)
+    assert result.outcome == BudgetSpent("stopped")
+    assert result.stats.iterations == 3
 
 
 def test_bf_playout_reuses_the_expansion_successors(monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 
 from mcprover.formulas import Binary, Quant
 from mcprover.terms import App, EQ_PREDICATE, Literal, Var
-from mcprover.tptp import CnfDecl, FofDecl, ParseError, parse_problem
+from mcprover.tptp import FofDecl, ParseError, parse_problem
 from oracles import print_problem
 
 
@@ -40,7 +40,8 @@ def test_unresolved_include():
 def test_include_resolution(tmp_path):
     (tmp_path / "ax.ax").write_text("cnf(a1, axiom, p).\n")
     main = tmp_path / "main.p"
-    main.write_text("include('ax.ax').\ncnf(goal, negated_conjecture, ~p).\n")
+    # an include listed twice is read once
+    main.write_text("include('ax.ax').\ninclude('ax.ax').\ncnf(goal, negated_conjecture, ~p).\n")
     from mcprover.tptp import load_problem
 
     problem = load_problem(str(main))
@@ -108,9 +109,30 @@ def test_comments_and_quoted_atoms():
 /* block
    comment */
 cnf(c1, axiom, 'odd atom'(X) | p).
+cnf(c2, axiom, ('it\\'s' | q)).
 """
     problem = parse_problem(text)
     assert problem.declarations[0].clause.literals[0].predicate == "odd atom"
+    # an escaped quote, in a cnf clause written in parentheses
+    assert problem.declarations[1].clause.literals == (Literal(True, "it's", ()), Literal(True, "q", ()))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("cnf(c, axiom, p). /* open", "line 1, column 19: unterminated block comment"),
+    ("cnf(c, axiom, 'open).", "line 1, column 15: unterminated quoted atom"),
+    ("cnf(c, axiom, p # q).", "line 1, column 17: unexpected character '#'"),
+    ("thf(c, axiom, p).", "line 1, column 1: expected cnf, fof or include, found 'thf'"),
+    ("include().", "line 1, column 9: expected file name"),
+    ("cnf(, axiom, p).", "line 1, column 5: expected formula name"),
+    ("cnf(c, , p).", "line 1, column 8: expected formula role"),
+    ("cnf(c, axiom, p(a, |)).", "line 1, column 20: expected a term, found '|'"),
+    ("fof(f, axiom, a => b => c).", "line 1, column 22: non-associative connective needs parentheses"),
+    ("fof(f, axiom, ! [a] : p(a)).", "line 1, column 18: expected a variable"),
+])
+def test_reader_errors_name_their_place(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("text, col", [
@@ -182,8 +204,6 @@ def _canonical_text(text):
 
 
 def test_bundled_corpus_round_trips_textually():
-    import os
-
     from mcprover.cli import bundled_corpus_dir, load_corpus
 
     for info in load_corpus(bundled_corpus_dir()):

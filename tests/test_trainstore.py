@@ -200,3 +200,11 @@ def test_load_error_reports_line():
         Store.loads("0000000000000001 0000000000000002 3 4\n0000000000000001 0000000000000002 5 6\n")
     with pytest.raises(StoreFormatError):
         Store.loads("xyz 0000000000000002 5 1\n")
+    with pytest.raises(StoreFormatError, match="line 1: negative count"):
+        Store.loads("0000000000000001 0000000000000002 -1 4\n")
+
+
+def test_load_skips_blank_lines():
+    entries = "0000000000000001 0000000000000002 5 1\n0000000000000003 0000000000000004 0 2\n"
+    store = Store.loads("\n" + entries.replace("\n", "\n   \n\n", 1))
+    assert store.dumps() == entries

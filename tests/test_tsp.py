@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from mcprover import mcts
@@ -25,8 +23,8 @@ def test_weight_readings():
         [(1, 2, 10), (1, 3, 20), (1, 4, 30), (2, 3, 1), (2, 4, 1), (3, 4, 1)],
     )
     candidates = [(1, 2), (1, 3), (1, 4)]
-    formula = TspGame(inst, reading="formula").weights((1,), candidates)
-    prose = TspGame(inst, reading="prose").weights((1,), candidates)
+    formula = TspGame(inst, reading="formula").weights(candidates)
+    prose = TspGame(inst, reading="prose").weights(candidates)
     assert formula == [pytest.approx(1 / 3), 0.5, 1.0]
     assert prose == [1.0, 0.5, pytest.approx(1 / 3)]
 
@@ -89,6 +87,12 @@ def test_instance_file_validation():
         TspInstance.parse("3\n1 2 1\n")  # missing edges
     with pytest.raises(ValueError):
         TspInstance.parse("2\n1 1 4\n")
+    with pytest.raises(ValueError, match="must start with the city count"):
+        TspInstance.parse("1 2 4\n")
+    with pytest.raises(ValueError, match="must start with the city count"):
+        TspInstance.parse("\n\n")
+    with pytest.raises(ValueError, match="bad distance entry: '1 2'"):
+        TspInstance.parse("2\n1 2\n")
 
 
 def test_mcts_never_beats_oracle():
