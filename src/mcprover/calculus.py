@@ -25,14 +25,26 @@ literal is fingerprinted only when some literal of its path had its sign,
 predicate and arity; its cell then keeps that fingerprint (None when it was not
 ground or too large), and one fingerprint comparison settles such a cell for
 every successor. Every other cell is compared under each successor's
-substitution.
+substitution, except after most extensions of a head whose variables are all
+private.
+
+A variable of a goal's head is private when it occurs in no literal of its
+clause outside the goal: not in the one the clause was connected by, nor in a
+solved one. Every binding since the clause was renamed unified σ-images of
+those literals, of path cells and of later renamings, none of which holds a
+private variable, so no binding mentions one. Extending a head that has
+variables, all private, into a freshly renamed literal thus binds only private
+and fresh variables, to terms built from them alone: every cell keeps its
+image, which holds neither, so the head can repeat a cell only when its image
+is ground. Reductions are still compared: unifying with a partner cell can
+bind a same-key cell's variable to the head's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import Literal, Matrix, START_CLAUSE, Var, rename_literal
+from .terms import Literal, Matrix, START_CLAUSE, Var, rename_literal, subterms
 from .unification import (
     EMPTY_SUBSTITUTION,
     Substitution,
@@ -208,6 +220,39 @@ def _repeats(sigma: Substitution, head_args: tuple, arg_lists: list) -> bool:
     return False
 
 
+def _repeats_if_ground(sigma: Substitution, head_args: tuple, cells: list) -> bool:
+    """_repeats for an extension of a private head (module docstring), which
+    can repeat a cell only when it grounds the head. The walk for a variable
+    gives up after _FINGERPRINT_TOKENS terms and compares, so a DAG of shared
+    bindings is not unfolded further."""
+    lookup = sigma.lookup
+    stack = list(head_args)
+    for _ in range(_FINGERPRINT_TOKENS):
+        if not stack:
+            break
+        t = stack.pop()
+        while type(t) is Var:
+            t = lookup(t.id)
+            if t is None:
+                return False
+        stack.extend(t.args)
+    return _repeats(sigma, head_args, [c[0].args for c in cells])
+
+
+def _private_head(matrix: Matrix, goal: Goal) -> bool:
+    """Whether the goal's head has a variable and all of them are private,
+    entered in the matrix's table keyed by clause and remaining positions."""
+    private = False
+    if goal.clause_index >= 0:
+        literals = matrix.clauses[goal.clause_index].literals
+        variables = [{t.id for a in lit.args for t in subterms(a) if type(t) is Var} for lit in literals]
+        head = variables[goal.literal_indices[0]]
+        private = bool(head) and not any(
+            head & variables[j] for j in range(len(literals)) if j not in goal.literal_indices)
+    matrix.private_heads[goal.clause_index, goal.literal_indices] = private
+    return private
+
+
 def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DEFAULT_OPTIONS):
     """All rule applications for the designated (most recent) goal, in the
     deterministic order: lemma step, reductions in path order, extensions in
@@ -266,11 +311,17 @@ def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DE
     # others are compared per successor
     check = ()
     key = None
+    private = False
     if same:
         key = _fingerprint(sigma, head)
         if key is not None and _repeats(sigma, head.args, [c[0].args for c in same if c[1] == key]):
             return out
-        check = [c[0].args for c in same if key is None or c[1] is None]
+        if key is None:  # a head with a private variable has no fingerprint
+            private = matrix.private_heads.get((goal.clause_index, goal.literal_indices))
+            if private is None:
+                private = _private_head(matrix, goal)
+        if partners or not private:  # a private head's extensions list the cells they compare
+            check = [c[0].args for c in same if key is None or c[1] is None]
 
     for cell in reversed(partners):  # reductions in path order
         sigma2 = unify_args(sigma, head.args, cell[0].args)
@@ -285,6 +336,9 @@ def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DE
         return out
 
     path = (head, key, 0 if goal.path is None else goal.path[2] + 1, goal.path)
+    compare = _repeats
+    if private:
+        compare, check = _repeats_if_ground, same
     for ci, li in matrix.candidates(head_pred, head_pos):
         clause = matrix.clauses[ci]
         offset = state.fresh_var
@@ -295,7 +349,7 @@ def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DE
         sigma2 = unify_args(sigma, head.args, target.args)  # the index matched predicate and sign
         if sigma2 is None:
             continue
-        if check and _repeats(sigma2, head.args, check):
+        if check and compare(sigma2, head.args, check):
             continue
         if clause.var_count:
             new_lits = tuple(rename_literal(lit, offset) for j, lit in enumerate(clause.literals) if j != li)

@@ -19,12 +19,27 @@ Nodes left with neither children nor unexplored successors are deleted, so
 hopeless subtrees stop attracting exploration; a fully deleted tree means the
 whole space was searched.
 
+A node is forced when it has no unexplored successor and one child; it stays
+forced until deleted, since children are added only to nodes with unexplored
+successors and a forced node that loses its child is dead. Selection at a
+forced node with a forced child follows `jump` links (descendant, edge count)
+to the first node that is not forced and repoints its own jump there.
+Backpropagation updates only the nodes selection stops at. The nodes a jump skips are never read: a
+forced node evaluates no UCT, a child's mean and visits are read only while
+its parent is not forced, and no jump passes a node that is not forced. So
+every value the engine reads gets the same float additions in the same order
+as with a step per node. The tree depth adds up the edges of the hops; when a
+hop's end dies, the run above it dies too, each edge a deletion.
+
 Bookkeeping note: every node except the root receives one visit when it is
 created, so for consistency checks
 
     visits == (0 if root else 1) + sum(child visits) + deleted_visits
 
-where deleted_visits accumulates the visit counts of deleted children.
+where deleted_visits accumulates the visit counts of deleted children. No
+jump skips a node that is not forced or whose parent is not forced, so the
+equation holds at each such node, reading a skipped child's visits as its own
+right-hand side.
 """
 
 from __future__ import annotations
@@ -150,7 +165,7 @@ def simulate(start, problem: MctsProblem, max_depth: int, rng: random.Random):
 
 
 class MctsNode:
-    __slots__ = ("state", "children", "unexplored", "visits", "reward_sum", "deleted_visits")
+    __slots__ = ("state", "children", "unexplored", "visits", "reward_sum", "deleted_visits", "jump")
 
     def __init__(self, state):
         self.state = state
@@ -159,6 +174,7 @@ class MctsNode:
         self.visits = 0
         self.reward_sum = 0.0
         self.deleted_visits = 0
+        self.jump = None  # (descendant, edges) set by selection while forced
 
 
 @dataclass
@@ -198,15 +214,27 @@ def mcts_step(tree: MctsTree, config: SearchConfig, rng: random.Random, iteratio
     stats = tree.stats
     cp = cp_schedule(iteration, config)
 
-    # root-to-leaf path of the selection; nodes keep no parent pointers, so
-    # finished trees hold no reference cycles and are freed by refcounting
+    # root-to-leaf path of the selection's hops; nodes keep no parent pointers
+    # and jumps point down, so finished trees hold no reference cycles and are
+    # freed by refcounting
     node = tree.root
     path = [node]
+    skipped = 0  # edges of the hops beyond the first of each
     while not node.unexplored:
         children = node.children
         if not children:
             return None  # dead root; run() reports exhaustion
-        node = children[0] if len(children) == 1 else max(children, key=uct_key(node.visits, cp))
+        if len(children) > 1:
+            node = max(children, key=uct_key(node.visits, cp))
+        elif children[0].unexplored or len(children[0].children) != 1:
+            node = children[0]  # a run of one forced node needs no jump
+        else:
+            start, (node, edges) = node, node.jump or (children[0], 1)
+            while not node.unexplored and len(node.children) == 1:
+                node, more = node.jump or (node.children[0], 1)
+                edges += more
+            start.jump = (node, edges)
+            skipped += edges - 1
         path.append(node)
 
     action_state = node.unexplored.pop(_draw(problem, node.unexplored, rng))
@@ -226,7 +254,7 @@ def mcts_step(tree: MctsTree, config: SearchConfig, rng: random.Random, iteratio
         child = _leaf(problem, chain[pick])
     node.children.append(child)
     path.append(child)
-    stats.max_tree_depth = max(stats.max_tree_depth, len(path) - 1)
+    stats.max_tree_depth = max(stats.max_tree_depth, len(path) - 1 + skipped)
 
     for walk in path:
         walk.visits += 1
@@ -239,9 +267,15 @@ def mcts_step(tree: MctsTree, config: SearchConfig, rng: random.Random, iteratio
     i = len(path) - 1
     while i > 0 and not path[i].unexplored and not path[i].children:
         dead, parent = path[i], path[i - 1]
-        parent.children.remove(dead)
-        parent.deleted_visits += dead.visits
-        stats.deletions += 1
+        if parent.jump is None:
+            parent.children.remove(dead)
+            parent.deleted_visits += dead.visits
+            stats.deletions += 1
+        else:
+            # the parent jumped here over a run that dies with it; its count is exact
+            parent.children.clear()
+            parent.deleted_visits = parent.visits - (0 if i == 1 else 1)
+            stats.deletions += parent.jump[1]
         i -= 1
 
     return final if success else None

@@ -153,6 +153,8 @@ class Matrix:
     clauses: tuple = ()
     index: dict = field(default_factory=dict, repr=False)
     digest: str = ""
+    # (clause index, remaining literal indices) -> calculus's lazy privacy verdict
+    private_heads: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def candidates(self, predicate: str, positive: bool) -> tuple:
         return self.index.get((predicate, positive), ())

@@ -12,12 +12,17 @@ tests feed it:
 - `dump_instance`, which writes the TSP instance format `TspInstance.parse`
   reads;
 - `parse_certificate`, the reader of the certificate text that
-  `checker.format_certificate` writes.
+  `checker.format_certificate` writes;
+- `reference_mcts_step`, the MCTS iteration that steps through every node of
+  a run of forced nodes, which `mcts.mcts_step` jumps over.
 """
+
+import random
 
 from mcprover.calculus import Extension, LemmaStep, Reduction
 from mcprover.checker import ProofCertificate
 from mcprover.formulas import Binary, Formula, Not, Quant, unwind
+from mcprover.mcts import MctsTree, SearchConfig, _draw, _leaf, cp_schedule, simulate, uct_key
 from mcprover.terms import App, Clause, Literal, Var, clause_to_str, literal_to_str
 from mcprover.trainstore import LiteralKey, clause_hash, literal_hash
 from mcprover.tptp import CnfDecl, Problem
@@ -75,6 +80,66 @@ def resolve_literal(sigma: Substitution, lit: Literal) -> Literal:
 def terms_equal_under(sigma: Substitution, a, b) -> bool:
     """Structural equality of two terms modulo the substitution."""
     return pairs_equal_under(sigma, [(a, b)])
+
+
+# --- the MCTS iteration without jumps ----------------------------------------
+
+def reference_mcts_step(tree: MctsTree, config: SearchConfig, rng: random.Random, iteration: int):
+    """One selection/simulation/expansion/backpropagation round.
+
+    Returns the success state when the playout reached one, else None.
+    """
+    problem = tree.problem
+    stats = tree.stats
+    cp = cp_schedule(iteration, config)
+
+    # root-to-leaf path of the selection; nodes keep no parent pointers, so
+    # finished trees hold no reference cycles and are freed by refcounting
+    node = tree.root
+    path = [node]
+    while not node.unexplored:
+        children = node.children
+        if not children:
+            return None  # dead root; run() reports exhaustion
+        node = children[0] if len(children) == 1 else max(children, key=uct_key(node.visits, cp))
+        path.append(node)
+
+    action_state = node.unexplored.pop(_draw(problem, node.unexplored, rng))
+
+    # first-node expansion builds the leaf before the playout, whose first
+    # step then asks the problem for the same successors again
+    child = _leaf(problem, action_state) if config.expansion == "first" else None
+    playout, success = simulate(action_state, problem, config.max_sim_depth, rng)
+    final = playout[-1] if playout else action_state
+    reward = problem.reward(final)
+    if not 0.0 <= reward <= 1.0:
+        raise ValueError(f"reward {reward} outside [0, 1]")
+
+    if child is None:
+        chain = [action_state, *playout]
+        pick = min(range(len(chain)), key=lambda i: (problem.openness(chain[i]), i))
+        child = _leaf(problem, chain[pick])
+    node.children.append(child)
+    path.append(child)
+    stats.max_tree_depth = max(stats.max_tree_depth, len(path) - 1)
+
+    for walk in path:
+        walk.visits += 1
+        walk.reward_sum += reward
+
+    if reward > stats.best_reward:
+        stats.best_reward = reward
+        stats.best_state = final
+
+    i = len(path) - 1
+    while i > 0 and not path[i].unexplored and not path[i].children:
+        dead, parent = path[i], path[i - 1]
+        parent.children.remove(dead)
+        parent.deleted_visits += dead.visits
+        stats.deletions += 1
+        i -= 1
+
+    return final if success else None
 
 
 # --- canonical printing -----------------------------------------------------

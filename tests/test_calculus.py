@@ -275,9 +275,37 @@ _PROBLEM = st.builds(
 )
 
 
+# Heads whose variables are all private (see the calculus docstring) and
+# the cases next to them.
+# p(Y) is private, and both extensions ground it to the p(a) of its path.
+GROUNDED_PRIVATE = "cnf(c0, axiom, p(a)).\ncnf(c1, axiom, ~p(a) | p(Y)).\ncnf(c2, axiom, ~p(a)).\n"
+# p(B) is private, and the path holds p(Z) and ~p(V), with Z and V bound to
+# one variable: reducing p(B) with ~p(V) makes it repeat p(Z). (~e keeps c5
+# from being a start clause, so a depth-first walk reaches p(B) early.)
+REDUCTION_TRAP = (
+    "cnf(c0, axiom, r).\ncnf(c1, axiom, ~r | p(Z)).\ncnf(c2, axiom, ~p(X) | s(X)).\n"
+    "cnf(c3, axiom, ~s(V) | ~p(V)).\ncnf(c4, axiom, ~t(A) | p(B)).\ncnf(c5, axiom, p(W) | t(W) | ~e).\n"
+)
+# Y of p(Y) also occurs in ~q(Y), whose reduction against q(X) binds Y to the
+# image of p(Z) on the path, so Y is not private.
+SOLVED_SHARE = (
+    "cnf(c0, axiom, r).\ncnf(c1, axiom, ~r | p(Z)).\ncnf(c2, axiom, ~p(X) | q(X)).\n"
+    "cnf(c3, axiom, ~q(U) | ~q(Y) | p(Y)).\n"
+)
+# hard_maze's decoy loop: every head's variable is private and stays unbound.
+MAZE_CHAIN = (
+    "cnf(c0, axiom, p).\ncnf(c1, axiom, ~p | d0(V)).\ncnf(c2, axiom, ~d0(X) | d1(Y)).\n"
+    "cnf(c3, axiom, ~d1(X) | d2(Y)).\ncnf(c4, axiom, ~d2(X) | d0(Y)).\n"
+)
+
+
 @pytest.mark.parametrize("explore_regular", [True, False])
 @settings(max_examples=150, deadline=None)
 @given(_PROBLEM)
+@example(GROUNDED_PRIVATE)
+@example(REDUCTION_TRAP)
+@example(SOLVED_SHARE)
+@example(MAZE_CHAIN)
 # a head that is not ground repeats a fingerprinted path literal only under a
 # successor's substitution: p(X) becomes p(a) through c2 (only states reached
 # with regularity on have fingerprinted path literals)
@@ -321,6 +349,57 @@ def test_head_ground_only_under_the_successor_substitution_is_pruned():
     assert [x.trail[0] for x in successors(s, m)] == [Extension(0, 3, 0)]
     unpruned = [x.trail[0].clause for x in successors(s, m, CalculusOptions(regularity=False))]
     assert unpruned == [1, 2, 3]
+
+
+def follow(m, *steps):
+    """The state reached from the start by taking, per step, the first
+    extension into that clause index, or the first reduction for None."""
+    state = initial_state(m)
+    for step in steps:
+        state = next(x for x in successors(state, m) if getattr(x.trail[0], "clause", None) == step)
+    return state
+
+
+def test_private_head_grounded_into_a_path_literal_is_pruned():
+    m = matrix_of(GROUNDED_PRIVATE)
+    s = follow(m, 0, 1)  # top -> p(a) -> c1, goal p(Y)
+    assert calculus._private_head(m, s.goals[-1])
+    assert successors(s, m) == []
+    assert [x.trail[0].clause for x in successors(s, m, CalculusOptions(regularity=False))] == [1, 2]
+
+
+def test_reduction_from_a_private_head_is_compared():
+    m = matrix_of(REDUCTION_TRAP)
+    s = follow(m, 0, 1, 2, 3, 5, 4)  # goal p(B) below p(Z), s(X), ~p(V) and t(W)
+    assert calculus._private_head(m, s.goals[-1])
+    assert [type(x.trail[0]) for x in successors(s, m)] == [Extension, Extension]
+    unpruned = successors(s, m, CalculusOptions(regularity=False))
+    assert [type(x.trail[0]) for x in unpruned] == [Reduction, Extension, Extension]
+
+
+def test_head_variable_of_a_solved_literal_is_not_private():
+    m = matrix_of(SOLVED_SHARE)
+    s = follow(m, 0, 1, 2, 3, None)  # goal p(Y) after reducing ~q(Y) against q(X)
+    assert not calculus._private_head(m, s.goals[-1])
+    # p(Y) and p(Z) have one image, which an extension into c2 leaves a variable
+    assert successors(s, m) == []
+    assert [x.trail[0].clause for x in successors(s, m, CalculusOptions(regularity=False))] == [2]
+
+
+def test_maze_loop_extends_without_comparing(monkeypatch):
+    """Every head of the loop is private, and its one extension binds its
+    variable to a fresh one, so no successor compares path literals."""
+    m = matrix_of(MAZE_CHAIN)
+    compared = []
+    repeats = calculus._repeats
+    monkeypatch.setattr(calculus, "_repeats", lambda *args: compared.append(args) or repeats(*args))
+    s = follow(m, 0, 1)  # top -> p -> c1, goal d0(V)
+    for _ in range(30):
+        succ = successors(s, m)
+        assert shape(succ) == shape(reference_successors(s, m, CalculusOptions()))
+        s, = succ
+    assert [lit.predicate for lit in path_literals(s.goals[-1])].count("d0") == 10
+    assert compared == []
 
 
 def test_colliding_fingerprints_change_no_successor_list(monkeypatch):

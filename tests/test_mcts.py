@@ -4,6 +4,10 @@ import random
 
 import pytest
 
+from mcprover.calculus import ProverState
+from mcprover.cli import bundled_corpus_dir
+from mcprover.clausify import load_matrix
+from mcprover.guidance import RewardConfig
 from mcprover.mcts import (
     BudgetSpent,
     Exhausted,
@@ -20,6 +24,8 @@ from mcprover.mcts import (
     uct_key,
     uct_value,
 )
+from mcprover.proving import ConnectionGame
+from oracles import reference_mcts_step
 
 
 class InfiniteTree(MctsProblem):
@@ -241,12 +247,20 @@ def test_dead_end_children_are_deleted():
     assert tree.stats.deletions >= 1
 
 
-def visit_consistency(node, is_root=True):
-    expected = sum(c.visits for c in node.children) + node.deleted_visits
-    expected += 0 if is_root else 1
-    assert node.visits == expected
-    for c in node.children:
-        visit_consistency(c, is_root=False)
+def forced(node):
+    return not node.unexplored and len(node.children) == 1
+
+
+def visit_consistency(node, parent_forced=False, is_root=True):
+    """Checks visits == (0 if root else 1) + sum(child visits) + deleted_visits
+    at every node whose counts are kept, each node that is not forced or whose
+    parent is not forced. A child inside a run of forced nodes, whose counts a
+    jump skips, adds its own right-hand side, which is returned."""
+    expected = (0 if is_root else 1) + node.deleted_visits
+    expected += sum(visit_consistency(c, forced(node), False) for c in node.children)
+    if not (parent_forced and forced(node)):
+        assert node.visits == expected
+    return expected
 
 
 def test_visit_count_consistency_invariant():
@@ -257,6 +271,92 @@ def test_visit_count_consistency_invariant():
     for i in range(300):
         mcts_step(tree, config, rng, i + 1)
     visit_consistency(tree.root)
+
+
+def state_key(state):
+    """What identifies a state across two searches of one problem."""
+    return state.actions() if isinstance(state, ProverState) else state
+
+
+def stats_key(stats):
+    return (stats.iterations, stats.deletions, stats.max_tree_depth, stats.best_reward,
+            state_key(stats.best_state))
+
+
+def assert_same_kept_counts(node, reference) -> int:
+    """Walks two trees of the same shape and compares the counts of every node
+    that is not forced or whose parent is not forced; returns the most edges
+    a jump in the first tree spans."""
+    longest = 0
+    stack = [(node, reference, False)]
+    while stack:
+        a, b, parent_forced = stack.pop()
+        assert (len(a.children), len(a.unexplored)) == (len(b.children), len(b.unexplored))
+        if not (parent_forced and forced(a)):
+            assert (a.visits, a.reward_sum) == (b.visits, b.reward_sum)
+        if a.jump is not None:
+            longest = max(longest, a.jump[1])
+        stack.extend((x, y, forced(a)) for x, y in zip(a.children, b.children))
+    return longest
+
+
+def connection_game(name):
+    return lambda: ConnectionGame(load_matrix(f"{bundled_corpus_dir()}/{name}.p"))
+
+
+SIDE_BY_SIDE = [
+    pytest.param(lambda: ChainToGoal(60), SearchConfig(max_sim_depth=2), 100, id="chain"),
+    pytest.param(lambda: DeadEnd(depth=40, width=1), SearchConfig(max_sim_depth=3), 100, id="dead-end"),
+    # deletions leave single children behind
+    pytest.param(lambda: DeadEnd(depth=7, width=2), SearchConfig(max_sim_depth=2), 500, id="dead-end-2"),
+    pytest.param(connection_game("prop_pigeon3"), SearchConfig(max_sim_depth=1), 300, id="prop_pigeon3"),
+] + [
+    pytest.param(connection_game(name), SearchConfig(max_sim_depth=depth, expansion=expansion), 300,
+                 id=f"{name}-sim{depth}-{expansion}")
+    for name in ("hard_maze14", "hard_fork14")
+    for depth in (1, 8)
+    for expansion in ("first", "best")
+]
+
+
+@pytest.mark.parametrize("make, config, iterations", SIDE_BY_SIDE)
+def test_jumps_match_the_reference_engine(make, config, iterations):
+    """mcts_step, which jumps over runs of forced nodes, and the reference
+    step, which walks every node, make the same search: after each iteration
+    the same returned state, stats and counts wherever counts are kept."""
+    problem, reference_problem = make(), make()
+    tree = MctsTree(problem, problem.initial_state())
+    reference = MctsTree(reference_problem, reference_problem.initial_state())
+    rng, reference_rng = random.Random(config.seed), random.Random(config.seed)
+    longest = 0
+    for i in range(1, iterations + 1):
+        assert tree.exhausted == reference.exhausted
+        if tree.exhausted:
+            break
+        final = mcts_step(tree, config, rng, i)
+        assert state_key(final) == state_key(reference_mcts_step(reference, config, reference_rng, i))
+        assert stats_key(tree.stats) == stats_key(reference.stats)
+        longest = max(longest, assert_same_kept_counts(tree.root, reference.root))
+        if final is not None:
+            break
+    visit_consistency(tree.root)
+    assert longest > 1
+
+
+@pytest.mark.parametrize("sim_depth, expected", [
+    (1, (1489, 0, 745, 1.0, 3001)),
+    (8, (330, 0, 166, 1.0, 3003)),
+], ids=["bf", "unguided"])
+def test_unprinted_search_stats_on_hard_maze15(sim_depth, expected):
+    """Iterations, deletions, tree depth, best reward and inferences of the
+    bench configurations, which the golden reports do not print."""
+    game = ConnectionGame(load_matrix(f"{bundled_corpus_dir()}/hard_maze15.p"),
+                          reward=RewardConfig.with_ratio_weight(0.0))
+    result = run(game, SearchConfig(seed=0, max_sim_depth=sim_depth),
+                 stop=lambda: game.extension_inferences >= 3000)
+    stats = result.stats
+    assert (stats.iterations, stats.deletions, stats.max_tree_depth, stats.best_reward,
+            game.extension_inferences) == expected
 
 
 def test_sibling_visits_balanced_under_constant_reward():
@@ -299,8 +399,6 @@ def test_initial_success_is_the_solution():
 
 
 def test_forced_chain_solved_within_three_iterations(unit_pair_matrix):
-    from mcprover.proving import ConnectionGame
-
     for seed in range(5):
         result = run(ConnectionGame(unit_pair_matrix), SearchConfig(seed=seed, max_iterations=3))
         assert isinstance(result.outcome, Solution)
@@ -389,9 +487,6 @@ def test_bf_playout_reuses_the_expansion_successors(monkeypatch):
     """Under first-node expansion the new leaf's successors are computed once
     per iteration, shared by the leaf and the playout's first step."""
     from mcprover import proving
-    from mcprover.cli import bundled_corpus_dir
-    from mcprover.clausify import load_matrix
-    from mcprover.guidance import RewardConfig
 
     calls = []
     compute = proving.successors
