@@ -11,7 +11,9 @@ middle steps depends on the expansion policy:
 
 - first: the drawn state becomes the leaf, with its successors unexplored,
   before the playout from it; the playout's first step asks for the same
-  successors again.
+  successors again. An iteration that later selects the leaf draws one of
+  those same successor objects, whose own successors the playout may
+  already have asked for.
 - best: the playout runs from the drawn state first; the leaf is then the
   state with the fewest open subgoals along it (the earliest on a tie).
 
@@ -59,8 +61,9 @@ class MctsProblem:
 
     def successors(self, state) -> list:
         """The successor states of `state`. The engine only reads the list,
-        so an implementation may return the same list object again when
-        asked for the same state."""
+        so an implementation may keep lists for many states and return the
+        same list object again when asked for the same state; what such a
+        request is charged is the problem's business."""
         raise NotImplementedError
 
     def weights(self, candidates) -> list:

@@ -23,6 +23,11 @@ from .mcts import MctsProblem
 from .terms import Matrix
 from .trainstore import KeyTable
 
+# The most successor lists a game keeps, the same cap as deepening's. A
+# playout retraces the last one's states only while its draws agree, so the
+# recent lists are the ones asked for again.
+_KEPT_LISTS = 1 << 10
+
 
 class ConnectionGame(MctsProblem):
     """The connection calculus as an MctsProblem.
@@ -30,10 +35,13 @@ class ConnectionGame(MctsProblem):
     The engine asks for the successors of open states only; a solution's
     final state holds the whole proof in its trail. `extension_inferences`
     sums `extension_count` over the successors of every `successors` request,
-    which is what inference budgets are charged. The last request is
-    remembered, keyed by the identity of its state: asking again for the same
-    state object, as a first-node expansion and its playout do, returns the
-    same list without recomputing it, and is still charged its extensions."""
+    which is what inference budgets are charged. The last _KEPT_LISTS
+    computed lists are kept, keyed by the identity of their states, and the
+    oldest goes first. Asking again for a kept state object returns the same
+    list without recomputing it, and is still charged its extensions. That
+    happens when a first-node expansion's playout asks for its leaf, and when
+    a later playout retraces states an earlier one drew from.
+    Each entry holds its state, so no other live object has its id."""
 
     def __init__(
         self,
@@ -49,8 +57,8 @@ class ConnectionGame(MctsProblem):
         self.reward_config = reward or RewardConfig()
         self.model = model or ProvabilityModel()
         self.extension_inferences = 0
-        # (state, successor list, extension count) of the last computed request
-        self._last = (None, None, 0)
+        # id(state) -> (state, successor list, extension count), oldest first
+        self._kept = {}
 
         # provability value per matrix literal position, plus the start
         # goal's; without a model every value is 1 and no reward reads them
@@ -79,15 +87,15 @@ class ConnectionGame(MctsProblem):
         return initial_state(self.matrix)
 
     def successors(self, state: ProverState) -> list:
-        last_state, last_list, last_extensions = self._last
-        if last_state is state:
-            self.extension_inferences += last_extensions
-            return last_list
-        out = successors(state, self.matrix, self.calculus)
-        extensions = extension_count(out)
-        self.extension_inferences += extensions
-        self._last = (state, out, extensions)
-        return out
+        kept = self._kept
+        entry = kept.get(id(state))
+        if entry is None:
+            if len(kept) >= _KEPT_LISTS:
+                del kept[next(iter(kept))]
+            out = successors(state, self.matrix, self.calculus)
+            entry = kept[id(state)] = (state, out, extension_count(out))
+        self.extension_inferences += entry[2]
+        return entry[1]
 
     def weights(self, candidates) -> list:
         policy = self.sim_weights.policy

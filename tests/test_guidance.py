@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -17,6 +18,7 @@ from mcprover.guidance import (
     state_provability,
     subgoal_ratio,
 )
+from mcprover import proving
 from mcprover.proving import ConnectionGame
 from mcprover.trainstore import KeyTable, Store
 
@@ -133,11 +135,15 @@ def test_weight_policy_validation():
         SimulationWeights("constant", reduction_weight=0.0)
 
 
+# p proves by extending into c2 or into c3
+FORK = (
+    "cnf(c1, axiom, p).\ncnf(c2, axiom, ~p | q).\n"
+    "cnf(c3, axiom, ~p | q | r).\ncnf(c4, axiom, ~q).\ncnf(c5, axiom, ~r).\n"
+)
+
+
 def test_game_weights_positive_and_policy_sensitive():
-    m = matrix_of(
-        "cnf(c1, axiom, p).\ncnf(c2, axiom, ~p | q).\n"
-        "cnf(c3, axiom, ~p | q | r).\ncnf(c4, axiom, ~q).\ncnf(c5, axiom, ~r).\n"
-    )
+    m = matrix_of(FORK)
     s = initial_state(m)
     s = successors(s, m)[0]
     succs = successors(s, m)
@@ -151,25 +157,62 @@ def test_game_weights_positive_and_policy_sensitive():
 
 
 def test_game_charges_every_successors_request():
-    """A repeated request for one state returns the same successors and is
-    charged its extensions again, whether or not another state came between."""
-    m = matrix_of(
-        "cnf(c1, axiom, p).\ncnf(c2, axiom, ~p | q).\n"
-        "cnf(c3, axiom, ~p | q | r).\ncnf(c4, axiom, ~q).\ncnf(c5, axiom, ~r).\n"
-    )
-    game = ConnectionGame(m)
+    """A repeated request for one state returns the same list and is charged
+    its extensions again, whether or not another state came between."""
+    game = ConnectionGame(matrix_of(FORK))
     start = game.initial_state()
     s = game.successors(start)[0]
     charged = game.extension_inferences
     first = game.successors(s)
     assert len(first) == 2
     assert game.extension_inferences == charged + 2
-    assert game.successors(s) == first
+    assert game.successors(s) is first
     assert game.extension_inferences == charged + 4
     game.successors(start)
     assert game.extension_inferences == 2 * charged + 4
-    assert game.successors(s) == first
+    assert game.successors(s) is first
     assert game.extension_inferences == 2 * charged + 6
+
+
+def counted_game(monkeypatch, cap=None):
+    """A game on FORK that keeps at most `cap` lists (by default the real
+    cap), and the list of states whose successors it computed."""
+    computed = []
+    compute = proving.successors
+    if cap is not None:
+        monkeypatch.setattr(proving, "_KEPT_LISTS", cap)
+    monkeypatch.setattr(proving, "successors", lambda state, *args: computed.append(state) or compute(state, *args))
+    return ConnectionGame(matrix_of(FORK)), computed
+
+
+def test_game_recomputes_an_evicted_list_and_charges_it_the_same(monkeypatch):
+    game, computed = counted_game(monkeypatch, 2)
+    s = game.successors(game.initial_state())[0]
+    charged = game.extension_inferences
+    first = game.successors(s)
+    charge = game.extension_inferences - charged
+    for t in first:  # two more lists: the start's goes, then s's
+        game.successors(t)
+        assert len(game._kept) == 2
+    charged = game.extension_inferences
+    again = game.successors(s)
+    assert len(computed) == 5 and computed[-1] is s
+    assert again is not first
+    assert [t.actions() for t in again] == [t.actions() for t in first]
+    assert game.extension_inferences - charged == charge == 2
+
+
+def test_game_never_hands_a_kept_list_to_an_equal_state(monkeypatch):
+    game, computed = counted_game(monkeypatch)
+    s = game.successors(game.initial_state())[0]
+    first = game.successors(s)
+    twin = dataclasses.replace(s)
+    assert twin == s and twin is not s
+    again = game.successors(twin)
+    assert computed[-1] is twin
+    assert again is not first
+    assert [t.actions() for t in again] == [t.actions() for t in first]
+    assert game.successors(s) is first and game.successors(twin) is again
 
 
 # --- state provability & the full reward ----------------------------------------

@@ -1,13 +1,18 @@
 import gc
 import math
+import os
 import random
 
 import pytest
 
+from conftest import matrix_of
+from mcprover import proving
 from mcprover.calculus import ProverState
-from mcprover.cli import bundled_corpus_dir
+from mcprover.checker import ProofCertificate, certificate_for
+from mcprover.cli import bundled_corpus_dir, load_corpus
 from mcprover.clausify import load_matrix
-from mcprover.guidance import RewardConfig
+from mcprover.deepening import DeepeningOptions, prove_iterative
+from mcprover.guidance import ProvabilityModel, RewardConfig
 from mcprover.mcts import (
     BudgetSpent,
     Exhausted,
@@ -25,7 +30,10 @@ from mcprover.mcts import (
     uct_value,
 )
 from mcprover.proving import ConnectionGame
+from mcprover.trainstore import Store
 from oracles import reference_mcts_step
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 class InfiniteTree(MctsProblem):
@@ -497,6 +505,118 @@ def test_bf_playout_reuses_the_expansion_successors(monkeypatch):
                  stop=lambda: game.extension_inferences >= 3000)
     assert (result.stats.iterations, game.extension_inferences) == (1489, 3001)
     assert len(calls) == result.stats.iterations + 1  # one more for the root
+
+
+def count_computed_lists(monkeypatch) -> list:
+    """Appends 1 to the returned list for every successor list a game computes."""
+    calls = []
+    compute = proving.successors
+    monkeypatch.setattr(proving, "successors", lambda *args: calls.append(1) or compute(*args))
+    return calls
+
+
+def bench_summary(game, config, budget=3000):
+    """Everything an inference-budgeted run of `game` reports, compared by value."""
+    result = run(game, config, stop=lambda: game.extension_inferences >= budget)
+    outcome = result.outcome
+    if isinstance(outcome, Solution):
+        outcome = certificate_for(outcome.final_state, game.matrix)
+    return outcome, stats_key(result.stats), game.extension_inferences
+
+
+@pytest.fixture(scope="module")
+def bench_configs():
+    """The bundled problems and the README's three bench configurations, as
+    `mcts-eval` runs them, the guided one with a model trained by deepening
+    capped at each DepthBound."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(PERFBENCH)
+        import workloads
+    problems, store = [], Store()
+    for info in load_corpus(bundled_corpus_dir()):
+        matrix = load_matrix(info.path)
+        problems.append((info.name, matrix))
+        result = prove_iterative(matrix, DeepeningOptions(max_depth=info.depth_bound, collect_training=True))
+        if result.proved:
+            store.record_events(result.events)
+    return problems, workloads.mcts_configs(ProvabilityModel(store))
+
+
+@pytest.mark.parametrize("expansion", ["first", "best"])
+def test_kept_lists_change_no_bench_run(bench_configs, expansion):
+    """A game that keeps one list, the last, and one that keeps the cap's
+    worth report the same outcome, certificate, stats and inferences on every
+    bundled problem under every bench configuration."""
+    problems, configs = bench_configs
+    solved = 0
+    for name, matrix in problems:
+        for kind, (game_kwargs, search_kwargs) in configs.items():
+            config = SearchConfig(seed=0, expansion=expansion, **search_kwargs)
+            runs = []
+            for cap in (1, proving._KEPT_LISTS):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(proving, "_KEPT_LISTS", cap)
+                    runs.append(bench_summary(ConnectionGame(matrix, **game_kwargs), config))
+            assert runs[0] == runs[1], (name, kind)
+            solved += isinstance(runs[0][0], ProofCertificate)
+    assert solved > len(problems)
+
+
+@pytest.mark.parametrize("cap, computed", [(1, 2641), (None, 399)], ids=["one", "cap"])
+def test_kept_lists_spare_the_unguided_playouts(monkeypatch, cap, computed):
+    """Unguided MCTS on hard_maze14 at 3000 inferences: a playout retraces
+    the states the last one drew from, so a game that keeps more than the
+    last list computes far fewer, with the same search."""
+    if cap is not None:
+        monkeypatch.setattr(proving, "_KEPT_LISTS", cap)
+    calls = count_computed_lists(monkeypatch)
+    game = ConnectionGame(load_matrix(f"{bundled_corpus_dir()}/hard_maze14.p"),
+                          reward=RewardConfig.with_ratio_weight(0.0))
+    _, (iterations, _, depth, *_), inferences = bench_summary(game, SearchConfig(seed=0, max_sim_depth=8))
+    assert (iterations, depth, inferences) == (330, 166, 3003)
+    assert len(calls) == computed
+
+
+def test_playouts_along_a_forced_chain_compute_one_list_per_iteration(monkeypatch):
+    """On a chain every playout of depth 8 retraces the last one but for its
+    final step, so the kept lists save seven computations in eight."""
+    n = 200
+    text = "cnf(s, axiom, p0).\n" + "".join(f"cnf(c{i}, axiom, ~p{i} | p{i + 1}).\n" for i in range(n))
+    matrix = matrix_of(text + f"cnf(g, negated_conjecture, ~p{n}).\n")
+    config = SearchConfig(seed=0, max_sim_depth=8)
+    calls = count_computed_lists(monkeypatch)
+    counts = []
+    for cap in (1, proving._KEPT_LISTS):
+        monkeypatch.setattr(proving, "_KEPT_LISTS", cap)
+        calls.clear()
+        result = run(ConnectionGame(matrix), config)
+        assert isinstance(result.outcome, Solution)
+        counts.append((result.stats.iterations, len(calls)))
+    (iterations, once), (same, kept) = counts
+    assert iterations == same
+    # the root's list, then eight per iteration, or the first playout's and
+    # one per iteration
+    assert (once, kept) == (1 + 8 * iterations, 1 + 8 + (iterations - 1))
+
+
+def test_kept_lists_stay_within_the_cap(monkeypatch):
+    """With room for four lists the table never holds more, the cap binds,
+    and the search is the one with the real cap."""
+    sizes = []
+
+    class Watched(ConnectionGame):
+        def successors(self, state):
+            out = super().successors(state)
+            sizes.append(len(self._kept))
+            return out
+
+    matrix = load_matrix(f"{bundled_corpus_dir()}/hard_maze14.p")
+    config = SearchConfig(seed=0, max_sim_depth=8)
+    flat = RewardConfig.with_ratio_weight(0.0)
+    expected = bench_summary(ConnectionGame(matrix, reward=flat), config)
+    monkeypatch.setattr(proving, "_KEPT_LISTS", 4)
+    assert bench_summary(Watched(matrix, reward=flat), config) == expected
+    assert max(sizes) == 4
 
 
 class SharedLists(InfiniteTree):
