@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import re
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -38,28 +37,12 @@ def bundled_corpus_dir() -> str:
 class CorpusProblem:
     path: str
     name: str
-    status: str = ""       # Theorem | Satisfiable | ""
-    depth_bound: int | None = None
-
-
-_ANNOTATION = re.compile(r"^%\s*(Status|DepthBound)\s*:\s*(\S+)", re.MULTILINE)
 
 
 def load_corpus(directory: str) -> list:
-    """The annotated .p problems under `directory`; ValueError if none."""
-    problems = []
-    for entry in sorted(os.listdir(directory)):
-        if not entry.endswith(".p"):
-            continue
-        path = os.path.join(directory, entry)
-        info = CorpusProblem(path=path, name=entry[:-2])
-        with open(path, encoding="utf-8") as handle:
-            for kind, value in _ANNOTATION.findall(handle.read()):
-                if kind == "Status":
-                    info.status = value
-                else:
-                    info.depth_bound = int(value)
-        problems.append(info)
+    """The .p problems under `directory`, by name; ValueError if none."""
+    problems = [CorpusProblem(os.path.join(directory, entry), entry[:-2])
+                for entry in sorted(os.listdir(directory)) if entry.endswith(".p")]
     if not problems:
         raise ValueError(f"no .p problems under {directory}")
     return problems
@@ -107,7 +90,7 @@ class EngineSetup:
             if value is not None and not 0 <= value < math.inf:
                 raise ValueError(f"{name.replace('_', '-')} must be finite and not negative, got {value}")
         self.deepening_options()
-        self.search_config().validate()
+        self.search_config()
         self.simulation_weights()
         self.reward_config()
 

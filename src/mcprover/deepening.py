@@ -15,15 +15,20 @@ applied or an extension's opened subgoals all closed (the clause literal it
 connected to shares that success), and as a failure when every alternative
 was exhausted without a closure.
 
-Each round keeps successor lists for the next, so that a deeper round does
-not recompute the expansions the round before made. A state's list is kept
-when two things hold. Its designated goal lies below the round's depth bound,
-so the bound cut nothing from the list and a deeper bound gives the same one.
-Its parent's list was kept, so the next round reaches this very state object;
-a list computed afresh holds new states, which no table knows. A reused list
-is charged and budget-checked like a computed one, so every outcome, count
-and event is unchanged. On branching problems the states below the bound
-multiply with every round, so a round keeps at most _KEPT_EXPANSIONS lists.
+One table of successor lists serves every round of a search, so that a
+deeper round does not recompute the expansions an earlier round made. A
+state's list enters the table when its designated goal lies below the
+round's depth bound, and a deeper bound gives the same list for such a goal.
+It enters only when its parent's list is kept (or it is the root), so every
+entry stays reachable through kept lists in every later round and no slot
+holds a dead entry; a list computed afresh holds new states, which the table
+does not know. A reused list is charged and budget-checked like a computed
+one, so every outcome, count and event is unchanged. On branching problems
+the states below the bound multiply with every round, so the table holds at
+most _KEPT_EXPANSIONS lists and evicts none: each round walks the top of the
+tree first, so the lists kept first are the ones every later round asks
+for, and FIFO eviction would throw out exactly those on any search larger
+than the cap.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from .checker import ProofCertificate, certificate_for
 from .terms import Matrix, TOP_PREDICATE
 from .trainstore import KeyTable, LiteralKey
 
-# The most successor lists one round keeps for the next. A chain keeps one
+# The most successor lists one search keeps. A chain keeps one
 # list per depth level, but on branching problems the states below the bound
 # multiply with the depth, and so would the memory kept without a cap.
 _KEPT_EXPANSIONS = 1 << 10
@@ -125,30 +130,29 @@ class _ChoicePoint:
     untried: Iterator
     goal: Goal
     target: int  # goal-stack height once the head is closed: the goals below plus its remainder
-    kept: bool  # its successor list is kept for the next round
+    kept: bool  # its successor list is kept for later rounds
     action: Action | None = None  # the successor being tried, until it first closes the head
     closed_any: bool = False
     head_emitted: bool = False
 
 
 class _DepthSearch:
-    """One depth-bounded exhaustive search over the successor relation."""
+    """The depth-bounded exhaustive searches of one deepening run, one round
+    per `run` call, and the successor lists they keep for each other."""
 
-    def __init__(self, matrix, options, bound, deadline, stats, key_table, reused):
+    def __init__(self, matrix, options, deadline, stats, key_table):
         self.matrix = matrix
-        self.calc = replace(options.calculus, depth_bound=bound)
-        self.cut = options.cut
+        self.options = options
         self.deadline = deadline
-        self.inference_cap = options.inference_budget
         self.stats = stats
         self.keys = key_table
+        self.kept: dict = {}  # id(state) -> (state, list), for every round
+
+    def run(self, root: ProverState, bound: int):
+        """The first closed state within `bound`, or None once every choice is spent."""
+        self.calc = replace(self.options.calculus, depth_bound=bound)
         self.bound_hit = False
         self.events: list = []
-        self.reused = reused  # the round before's kept lists, by id of their state
-        self.kept: dict = {}  # this round's, for the next: id(state) -> (state, list)
-
-    def run(self, root: ProverState):
-        """The first closed state, or None once every choice is spent."""
         stack = [self._expand(root, True)]
         while stack:
             top = stack[-1]
@@ -175,7 +179,7 @@ class _DepthSearch:
                         break
             if not height:
                 return state
-            if self.cut and lowest is not None:
+            if lowest is not None and self.options.cut:
                 # commit to this closure of the outermost closed literal
                 stack[lowest].untried = iter(())
                 del stack[lowest + 1:]
@@ -185,21 +189,21 @@ class _DepthSearch:
     def _expand(self, state: ProverState, parent_kept: bool) -> _ChoicePoint:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _OutOfBudget("time")
-        if self.inference_cap is not None and self.stats.extension_inferences > self.inference_cap:
+        cap = self.options.inference_budget
+        if cap is not None and self.stats.extension_inferences > cap:
             raise _OutOfBudget("inferences")
         goal = state.goals[-1]
-        # only a state whose parent's list was kept the round before has an
-        # entry, and this round keeps that list again unless the cap is
-        # reached; an entry holds its state, so no other object has its id
-        entry = self.reused.get(id(state)) if parent_kept else None
+        # only a state whose parent's list is kept can have an entry; it gets
+        # one when expanded below the bound while there is room, and keeps it;
+        # an entry holds its state, so no other object has its id
+        entry = self.kept.get(id(state)) if parent_kept else None
+        if entry is None and parent_kept and goal.depth < self.calc.depth_bound and len(self.kept) < _KEPT_EXPANSIONS:
+            entry = self.kept[id(state)] = (state, successors(state, self.matrix, self.calc))
         succs = successors(state, self.matrix, self.calc) if entry is None else entry[1]
         self.stats.extension_inferences += extension_count(succs)
-        kept = parent_kept and goal.depth < self.calc.depth_bound and len(self.kept) < _KEPT_EXPANSIONS
-        if kept:
-            self.kept[id(state)] = (state, succs)
         if not self.bound_hit and goal.depth >= self.calc.depth_bound:
             self.bound_hit = has_applicable_extension(state, self.matrix)
-        return _ChoicePoint(iter(succs), goal, len(state.goals) - 1 + (len(goal.clause) > 1), kept)
+        return _ChoicePoint(iter(succs), goal, len(state.goals) - 1 + (len(goal.clause) > 1), entry is not None)
 
     def _closed(self, point: _ChoicePoint):
         """Record that the point's head literal closed; an extension's later
@@ -227,15 +231,13 @@ def prove_iterative(matrix: Matrix, options: DeepeningOptions | None = None) -> 
     if not matrix.has_positive_start:
         return DeepeningResult(Saturated(0, complete=True, reason="no positive start clause"), stats)
     deadline = time.monotonic() + options.time_budget if options.time_budget else None
-    keys = KeyTable(matrix) if options.collect_training else None
+    search = _DepthSearch(matrix, options, deadline, stats, KeyTable(matrix) if options.collect_training else None)
     depth = options.start_depth
     root = initial_state(matrix)
-    kept: dict = {}
     while True:
         stats.rounds += 1
-        search = _DepthSearch(matrix, options, depth, deadline, stats, keys, kept)
         try:
-            final = search.run(root)
+            final = search.run(root, depth)
         except _OutOfBudget as spent:
             return DeepeningResult(Timeout(spent.args[0]), stats)
         if final is not None:
@@ -247,4 +249,3 @@ def prove_iterative(matrix: Matrix, options: DeepeningOptions | None = None) -> 
         if options.max_depth is not None and depth >= options.max_depth:
             return DeepeningResult(Saturated(depth, complete=False, reason="depth cap reached"), stats)
         depth += options.increment
-        kept = search.kept

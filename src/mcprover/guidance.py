@@ -33,18 +33,15 @@ class SimulationWeights:
 
 @dataclass(frozen=True)
 class RewardConfig:
-    ratio_weight: float = 0.5
-    model_weight: float = 0.5
+    ratio_weight: float = 0.5  # the model component weighs the rest
     combiner: str = "geometric"
     certainty_c: float = 1.0
     certainty_d: float = 2.0
     raw_ratio: bool = False
 
     def __post_init__(self):
-        if not (self.ratio_weight >= 0 and self.model_weight >= 0):  # NaN fails too
-            raise ValueError("reward weights must be nonnegative")
-        if abs(self.ratio_weight + self.model_weight - 1.0) > 1e-9:
-            raise ValueError("reward weights must sum to 1")
+        if not 0 <= self.ratio_weight <= 1:  # NaN fails too
+            raise ValueError("the reward ratio weight must lie in [0, 1]")
         if self.combiner not in COMBINERS:
             raise ValueError(f"unknown combiner {self.combiner!r}")
         if not 0.0 <= self.certainty_c <= 1.0:
@@ -52,9 +49,13 @@ class RewardConfig:
         if not 0 < self.certainty_d < math.inf:
             raise ValueError("certainty constant D must be positive and finite")
 
+    @property
+    def model_weight(self) -> float:
+        return 1.0 - self.ratio_weight
+
     @classmethod
     def with_ratio_weight(cls, ratio_weight: float, **kwargs) -> "RewardConfig":
-        return cls(ratio_weight=ratio_weight, model_weight=1.0 - ratio_weight, **kwargs)
+        return cls(ratio_weight=ratio_weight, **kwargs)
 
 
 def extension_weight(policy: str, clause_size: int, candidate_sizes) -> float:

@@ -94,7 +94,7 @@ class SearchConfig:
     expansion: str = "first"  # first | best
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         # NaN fails every comparison, so each check below rejects it
         if not 0 < self.cp_base < math.inf:
             raise ValueError("exploration constant must be positive and finite")
@@ -318,7 +318,6 @@ def run(problem: MctsProblem, config: SearchConfig | None = None, stop=None) -> 
     identical traces.
     """
     config = config or SearchConfig()
-    config.validate()
     started = time.monotonic()
     rng = random.Random(config.seed)
 

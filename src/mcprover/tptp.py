@@ -350,8 +350,7 @@ def _parse_into(problem: Problem, text: str, path, include_dirs, seen):
         if resolved in seen:
             continue
         seen.add(resolved)
-        with open(resolved, encoding="utf-8") as handle:
-            _parse_into(problem, handle.read(), resolved, include_dirs, seen)
+        _parse_into(problem, _read(resolved), resolved, include_dirs, seen)
 
 
 def _resolve_include(name: str, path, include_dirs) -> str:
@@ -365,7 +364,14 @@ def _resolve_include(name: str, path, include_dirs) -> str:
     raise ParseError(f"cannot resolve include {name!r}")
 
 
+def _read(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from None
+
+
 def load_problem(path: str, include_dirs: tuple = ()) -> Problem:
-    with open(path, encoding="utf-8") as handle:
-        return parse_problem(handle.read(), path=path, include_dirs=include_dirs)
+    return parse_problem(_read(path), path=path, include_dirs=include_dirs)
 

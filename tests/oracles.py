@@ -13,14 +13,19 @@ tests feed it:
   reads;
 - `parse_certificate`, the reader of the certificate text that
   `checker.format_certificate` writes;
+- `annotated_corpus`, the bundled problems with the `% Status` and
+  `% DepthBound` lines the corpus tests check outcomes against;
 - `reference_mcts_step`, the MCTS iteration that steps through every node of
   a run of forced nodes, which `mcts.mcts_step` jumps over.
 """
 
 import random
+import re
+from dataclasses import dataclass
 
 from mcprover.calculus import Extension, LemmaStep, Reduction
 from mcprover.checker import ProofCertificate
+from mcprover.cli import bundled_corpus_dir, load_corpus
 from mcprover.formulas import Binary, Formula, Not, Quant, unwind
 from mcprover.mcts import MctsTree, SearchConfig, _draw, _leaf, cp_schedule, simulate, uct_key
 from mcprover.terms import App, Clause, Literal, Var, clause_to_str, literal_to_str
@@ -227,3 +232,29 @@ def parse_certificate(text: str) -> ProofCertificate:
         except ValueError:
             raise CertificateError(f"malformed certificate line {number}: {line!r}") from None
     return ProofCertificate(digest, tuple(actions))
+
+
+@dataclass
+class AnnotatedProblem:
+    path: str
+    name: str
+    status: str = ""  # Theorem | Satisfiable | ""
+    depth_bound: int | None = None
+
+
+_ANNOTATION = re.compile(r"^%\s*(Status|DepthBound)\s*:\s*(\S+)", re.MULTILINE)
+
+
+def annotated_corpus() -> list:
+    """The bundled problems, each with its `% Status` and `% DepthBound`."""
+    problems = []
+    for problem in load_corpus(bundled_corpus_dir()):
+        info = AnnotatedProblem(problem.path, problem.name)
+        with open(problem.path, encoding="utf-8") as handle:
+            for kind, value in _ANNOTATION.findall(handle.read()):
+                if kind == "Status":
+                    info.status = value
+                else:
+                    info.depth_bound = int(value)
+        problems.append(info)
+    return problems

@@ -11,7 +11,7 @@ import pytest
 
 from mcprover import mcts
 from mcprover.checker import check_proof, certificate_for
-from mcprover.cli import bundled_corpus_dir, load_corpus
+from mcprover.cli import bundled_corpus_dir
 from mcprover.clausify import clausify, prepare_matrix
 from mcprover.deepening import DeepeningOptions, Proof, prove_iterative
 from mcprover.guidance import (
@@ -29,7 +29,7 @@ from mcprover.tsp import TspGame, TspInstance, brute_force_optimum
 from test_trainstore import random_store
 from test_unification import agreement_case, ref_unify
 from mcprover.unification import EMPTY_SUBSTITUTION
-from oracles import unify
+from oracles import annotated_corpus, unify
 from mcprover.terms import App, Var
 
 
@@ -40,7 +40,7 @@ def report(number, name):
 @pytest.fixture(scope="module")
 def corpus():
     out = {}
-    for info in load_corpus(bundled_corpus_dir()):
+    for info in annotated_corpus():
         from mcprover.tptp import load_problem
 
         out[info.name] = (info, prepare_matrix(clausify(load_problem(info.path))))

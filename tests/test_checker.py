@@ -11,7 +11,7 @@ from mcprover.checker import (
     format_certificate,
 )
 from mcprover.deepening import DeepeningOptions, prove_iterative
-from oracles import CertificateError, parse_certificate
+from oracles import CertificateError, annotated_corpus, parse_certificate
 
 
 def test_two_step_proof_accepted(unit_pair_matrix):
@@ -160,12 +160,11 @@ def replay_in_engine(matrix, cert, options):
 
 def test_checker_and_engine_accept_the_same_regular_proofs():
     from mcprover.calculus import CalculusOptions
-    from mcprover.cli import bundled_corpus_dir, load_corpus
     from mcprover.clausify import clausify, prepare_matrix
     from mcprover.tptp import load_problem
 
     checked = 0
-    for info in load_corpus(bundled_corpus_dir()):
+    for info in annotated_corpus():
         if info.status != "Theorem" or info.depth_bound > 6:
             continue
         m = prepare_matrix(clausify(load_problem(info.path)))

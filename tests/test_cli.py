@@ -1,4 +1,5 @@
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from mcprover.cli import (
 from mcprover.clausify import clausify, prepare_matrix
 from mcprover.tptp import load_problem
 from mcprover.trainstore import Store
-from oracles import dump_instance, parse_certificate
+from oracles import annotated_corpus, dump_instance, parse_certificate
 
 
 def corpus_file(name):
@@ -33,7 +34,7 @@ def run_cli(capsys, *argv):
 
 
 def test_corpus_annotations_present():
-    problems = load_corpus(bundled_corpus_dir())
+    problems = annotated_corpus()
     assert len(problems) >= 50
     assert all(p.status in ("Theorem", "Satisfiable") for p in problems)
     assert all(p.depth_bound is not None for p in problems)
@@ -288,6 +289,24 @@ def test_corpus_file_that_does_not_parse_is_skipped(capsys, tmp_path, command):
     assert "solved 1/2" in out
 
 
+@pytest.mark.parametrize("command", ["train", "bench"])
+def test_corpus_file_that_is_not_utf8_is_skipped_by_name(capsys, tmp_path, command):
+    """Listing a corpus opens no file, so an annotation no command reads
+    cannot end the run; a file that is not UTF-8 is skipped with a warning
+    that names it, and the rest are still run."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "bad.p").write_bytes(b"cnf(c1, axiom, p).\n% \xff\n")
+    (corpus / "good.p").write_text("% DepthBound : 3x\ncnf(c1, axiom, p).\ncnf(c2, axiom, ~p).\n")
+    assert [(p.name, p.path) for p in load_corpus(str(corpus))] == [
+        ("bad", str(corpus / "bad.p")), ("good", str(corpus / "good.p"))]
+    model_out = ["--model-out", str(tmp_path / "model.txt")] if command == "train" else []
+    code, out, err = run_cli(capsys, command, str(corpus), *model_out)
+    assert code == 0
+    assert f"warning: skipping bad: {corpus / 'bad.p'}: not UTF-8 text" in err
+    assert "solved 1/2" in out
+
+
 def test_bench_unique_sets(capsys, tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
@@ -414,6 +433,23 @@ def test_config_key_matches_engine_flag(flag, kwargs):
         assert parsed == ("x", expected)
 
 
+def test_readme_lists_every_engine_flag():
+    """The README's "Engine flags" paragraph names each flag once, with the
+    choices of each flag that has them."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        text = handle.read()
+    paragraph = text[text.index("Engine flags (shared by"):text.index("`prove` also takes")]
+    listed, choices = [], {}
+    for names, options in re.findall(r"`(--[\w/-]+)(?: \{([\w,]+)\})?`", paragraph):
+        listed += names.split("/")
+        if options:
+            choices[names] = tuple(options.split(","))
+    flags = dict(_ENGINE_FLAGS)
+    assert sorted(listed) == sorted([*flags, "--include-dir", "--equality-axioms"])
+    assert choices == {flag: tuple(kwargs["choices"]) for flag, kwargs in flags.items() if "choices" in kwargs}
+
+
 def test_config_switch_false_sets_the_opposite():
     base = build_parser().parse_args(["bench", "--cut"])
     assert _parse_config_spec("x=cut:false", base)[1].cut is False
@@ -472,6 +508,7 @@ EXIT_TWO_CASES = {
     "tsp-cp-nan": ["tsp", "--cp", "nan"],
     "max-depth-below-start": ["prove", "{problem}", "--depth-start", "16", "--max-depth", "2"],
     "max-depth-zero": ["prove", "{problem}", "--max-depth", "0"],
+    "not-utf8": ["prove", "{not_utf8}"],
 }
 # cases run in a child interpreter, which also covers the `python -m` entry
 # point; its address space is capped, so a case that asks for memory in
@@ -517,10 +554,13 @@ def test_bad_input_exits_two_with_one_error_line(capsys, tmp_path, case):
     tsp_repeated.write_text("3\n1 2 1\n1 3 2\n2 3 3\n1 2 4\n")
     tsp_cities_only = tmp_path / "tsp_cities_only.txt"  # a full table would hold 400M distances
     tsp_cities_only.write_text("20000\n")
+    not_utf8 = tmp_path / "not_utf8.p"
+    not_utf8.write_bytes(b"cnf(a, axiom, p).\n% \xff\n")
     places = dict(problem=corpus_file("prop_unit.p"), corpus=corpus, bad_model=bad_model, repeated_model=repeated_model,
                   implications=implications, missing=tmp_path / "missing", empty=tmp_path / "empty",
                   negated_top=negated_top, top_clause=top_clause, quoted_top=quoted_top,
-                  tsp_nan=tsp_nan, tsp_inf=tsp_inf, tsp_repeated=tsp_repeated, tsp_cities_only=tsp_cities_only)
+                  tsp_nan=tsp_nan, tsp_inf=tsp_inf, tsp_repeated=tsp_repeated, tsp_cities_only=tsp_cities_only,
+                  not_utf8=not_utf8)
     argv = [arg.format(**places) for arg in EXIT_TWO_CASES[case]]
     if case in SUBPROCESS_CASES:
         done = subprocess.run([sys.executable, "-m", "mcprover.cli", *argv], env=subprocess_env(),
@@ -537,6 +577,8 @@ def test_bad_input_exits_two_with_one_error_line(capsys, tmp_path, case):
         assert bad_model.name in errors[0]
     if case == "model-key-repeated":
         assert repeated_model.name in errors[0] and "line 2" in errors[0]
+    if case == "not-utf8":
+        assert f"{not_utf8}: not UTF-8 text" in errors[0]
     if case == "cnf-cutoff":
         assert "literal cutoff" in errors[0] and "4096" in errors[0]
 

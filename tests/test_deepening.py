@@ -1,4 +1,5 @@
 import os
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +16,8 @@ from mcprover.deepening import (
 )
 from mcprover.terms import TOP_PREDICATE
 from mcprover.trainstore import KeyTable
-from mcprover.cli import bundled_corpus_dir, load_corpus
 from mcprover.clausify import load_matrix
-from oracles import factors_through
+from oracles import annotated_corpus, factors_through
 from test_calculus import _PROBLEM
 
 
@@ -153,11 +153,10 @@ def test_reduction_success_event_recorded():
 def test_regularity_never_loses_corpus_proofs():
     """Solved sets agree with the regularity filter on and off."""
     from mcprover.calculus import CalculusOptions
-    from mcprover.cli import bundled_corpus_dir, load_corpus
     from mcprover.clausify import clausify, prepare_matrix
     from mcprover.tptp import load_problem
 
-    for info in load_corpus(bundled_corpus_dir()):
+    for info in annotated_corpus():
         if info.status != "Theorem":
             continue
         m = prepare_matrix(clausify(load_problem(info.path)))
@@ -227,15 +226,20 @@ def run_summary(matrix, options):
     return outcome, res.stats, res.events
 
 
-def checked_round(run, sizes):
-    """`_DepthSearch.run` that records how many lists each round kept and
-    checks that it kept only lists of states the next round reaches through
-    kept lists: the root and their successors."""
-    def checked(search, root):
+def checked_round(run, sizes, searches):
+    """`_DepthSearch.run` that records the search and how many lists it kept
+    after each round, and checks that the round only added lists, within the
+    cap, and kept only lists of states later rounds reach through kept lists:
+    the root and their successors."""
+    def checked(search, root, bound):
+        before = dict(search.kept)
         try:
-            return run(search, root)
+            return run(search, root, bound)
         finally:
+            searches.append(search)
             sizes.append(len(search.kept))
+            assert all(search.kept.get(key) is entry for key, entry in before.items())
+            assert len(search.kept) <= deepening._KEPT_EXPANSIONS
             reachable = {id(root)} | {id(s) for _, succs in search.kept.values() for s in succs}
             assert not search.kept.keys() - reachable
     return checked
@@ -243,30 +247,31 @@ def checked_round(run, sizes):
 
 def assert_kept_lists_change_nothing(matrix, options, label=""):
     """A run with no list kept across rounds and one with the cap in force
-    report the same outcome, certificate, depth, counts and events; returns
-    the number of lists each round of the second run kept."""
+    report the same outcome, certificate, depth, counts and events, and each
+    runs all its rounds on one search object; returns the number of lists the
+    second run had kept after each round."""
     runs = []
-    sizes = []
     for cap in (0, deepening._KEPT_EXPANSIONS):
+        sizes, searches = [], []
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(deepening, "_KEPT_EXPANSIONS", cap)
-            patch.setattr(deepening._DepthSearch, "run", checked_round(deepening._DepthSearch.run, sizes))
+            patch.setattr(deepening._DepthSearch, "run", checked_round(deepening._DepthSearch.run, sizes, searches))
             runs.append(run_summary(matrix, options))
+        assert len(set(searches)) <= 1, label
     assert runs[0] == runs[1], label
-    assert max(sizes, default=0) <= deepening._KEPT_EXPANSIONS
-    return sizes[runs[0][1].rounds:]
+    return sizes
 
 
 @pytest.mark.parametrize("cut", [False, True])
 def test_kept_lists_change_no_corpus_run(cut):
-    for info in load_corpus(bundled_corpus_dir()):
+    for info in annotated_corpus():
         options = DeepeningOptions(max_depth=info.depth_bound, cut=cut, collect_training=True)
         assert_kept_lists_change_nothing(load_matrix(info.path), options, info.name)
 
 
 @pytest.mark.parametrize("budget", [7, 50, 333])
 def test_kept_lists_change_no_budgeted_corpus_run(budget):
-    for info in load_corpus(bundled_corpus_dir()):
+    for info in annotated_corpus():
         options = DeepeningOptions(inference_budget=budget, collect_training=True)
         assert_kept_lists_change_nothing(load_matrix(info.path), options, info.name)
 
@@ -305,4 +310,28 @@ def test_chain_expansions_grow_linearly_with_its_length(monkeypatch):
 
 def test_kept_lists_stay_within_the_cap():
     sizes = assert_kept_lists_change_nothing(matrix_of(BRANCHING), DeepeningOptions(inference_budget=8000))
-    assert max(sizes) == deepening._KEPT_EXPANSIONS  # the cap binds in the last rounds
+    assert sizes[-1] == deepening._KEPT_EXPANSIONS  # the cap binds in the last rounds
+
+
+def test_each_kept_list_is_computed_once_per_search(monkeypatch):
+    """A state's list below the bound, once kept, is never computed again,
+    also once the table is full, while one left out for want of room is."""
+    below = []  # every state whose list was computed below the bound, held so that no id is reused
+    compute = deepening.successors
+
+    def counted(state, matrix, calc):
+        if state.goals[-1].depth < calc.depth_bound:
+            below.append(state)
+        return compute(state, matrix, calc)
+
+    monkeypatch.setattr(deepening, "successors", counted)
+    searches = []
+    monkeypatch.setattr(deepening._DepthSearch, "run", checked_round(deepening._DepthSearch.run, [], searches))
+    # the table fills in round 11; rounds 12 and 13 recompute the states it had no room for
+    res = prove_iterative(matrix_of(BRANCHING), DeepeningOptions(inference_budget=20000))
+    assert isinstance(res.outcome, Timeout) and res.stats.rounds == len(searches) == 13
+    counts = Counter(map(id, below))
+    kept = searches[0].kept
+    assert len(kept) == deepening._KEPT_EXPANSIONS
+    assert all(counts[key] == 1 for key in kept)
+    assert max(counts.values()) > 1

@@ -109,7 +109,11 @@ def test_reward_weights():
 
 def test_reward_config_validation():
     with pytest.raises(ValueError):
-        RewardConfig(ratio_weight=0.7, model_weight=0.7)
+        RewardConfig(ratio_weight=1.7)
+    with pytest.raises(ValueError):
+        RewardConfig(ratio_weight=-0.1)
+    with pytest.raises(ValueError):
+        RewardConfig(ratio_weight=float("nan"))
     with pytest.raises(ValueError):
         RewardConfig(combiner="median")
     with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from conftest import matrix_of
 from mcprover import proving
 from mcprover.calculus import ProverState
 from mcprover.checker import ProofCertificate, certificate_for
-from mcprover.cli import bundled_corpus_dir, load_corpus
+from mcprover.cli import bundled_corpus_dir
 from mcprover.clausify import load_matrix
 from mcprover.deepening import DeepeningOptions, prove_iterative
 from mcprover.guidance import ProvabilityModel, RewardConfig
@@ -31,7 +31,7 @@ from mcprover.mcts import (
 )
 from mcprover.proving import ConnectionGame
 from mcprover.trainstore import Store
-from oracles import reference_mcts_step
+from oracles import annotated_corpus, reference_mcts_step
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -163,14 +163,14 @@ def test_cp_schedule_disabled_and_enabled():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SearchConfig(cp_base=0.0).validate()
+        SearchConfig(cp_base=0.0)
     with pytest.raises(ValueError):
-        SearchConfig(cp_base=1.0, cp_amplitude=1.0, cp_period=4.0).validate()
+        SearchConfig(cp_base=1.0, cp_amplitude=1.0, cp_period=4.0)
     with pytest.raises(ValueError):
-        SearchConfig(cp_amplitude=0.1, cp_period=0.0).validate()
+        SearchConfig(cp_amplitude=0.1, cp_period=0.0)
     with pytest.raises(ValueError):
-        SearchConfig(max_sim_depth=0).validate()
-    SearchConfig(cp_base=1.0, cp_amplitude=0.5, cp_period=8.0).validate()
+        SearchConfig(max_sim_depth=0)
+    SearchConfig(cp_base=1.0, cp_amplitude=0.5, cp_period=8.0)
 
 
 # --- simulation ----------------------------------------------------------------
@@ -533,7 +533,7 @@ def bench_configs():
         patch.syspath_prepend(PERFBENCH)
         import workloads
     problems, store = [], Store()
-    for info in load_corpus(bundled_corpus_dir()):
+    for info in annotated_corpus():
         matrix = load_matrix(info.path)
         problems.append((info.name, matrix))
         result = prove_iterative(matrix, DeepeningOptions(max_depth=info.depth_bound, collect_training=True))

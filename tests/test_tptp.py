@@ -4,7 +4,7 @@ import pytest
 
 from mcprover.formulas import Binary, Quant
 from mcprover.terms import App, EQ_PREDICATE, Literal, Var
-from mcprover.tptp import FofDecl, ParseError, parse_problem
+from mcprover.tptp import FofDecl, ParseError, load_problem, parse_problem
 from oracles import print_problem
 
 
@@ -42,11 +42,18 @@ def test_include_resolution(tmp_path):
     main = tmp_path / "main.p"
     # an include listed twice is read once
     main.write_text("include('ax.ax').\ninclude('ax.ax').\ncnf(goal, negated_conjecture, ~p).\n")
-    from mcprover.tptp import load_problem
-
     problem = load_problem(str(main))
     assert [d.name for d in problem.declarations] == ["a1", "goal"]
     assert problem.declarations[0].clause.label == "a1"
+
+
+def test_file_that_is_not_utf8_is_named(tmp_path):
+    (tmp_path / "ax.ax").write_bytes(b"cnf(a1, axiom, p).\n% \xff\n")
+    main = tmp_path / "main.p"
+    main.write_text("include('ax.ax').\ncnf(goal, negated_conjecture, ~p).\n")
+    for path, named in ((main, tmp_path / "ax.ax"), (tmp_path / "ax.ax", tmp_path / "ax.ax")):
+        with pytest.raises(ParseError, match=re.escape(f"{named}: not UTF-8 text (invalid start byte at byte 21)")):
+            load_problem(str(path))
 
 
 def test_equality_literals_parse_infix():
