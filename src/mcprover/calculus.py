@@ -13,7 +13,7 @@ mirrors the depth-first goal order of Prolog-style connection provers:
 Goals whose clause became empty are discharged eagerly, so a state is closed
 exactly when its goal stack is empty. States are never mutated once built;
 successor construction never touches the parent, which lets tree searches
-share them.
+share them. Goals and states compare and hash by identity.
 
 A goal's path is a cons chain of cells (literal, fingerprint, index, rest),
 innermost first, that every goal below shares; index is the literal's position
@@ -86,7 +86,7 @@ class CalculusOptions:
 DEFAULT_OPTIONS = CalculusOptions()
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False, repr=False)
 class Goal:
     """One open branch: remaining clause literals, active path, usable lemmas.
 
@@ -109,7 +109,7 @@ class Goal:
         return 0 if self.path is None else self.path[2]
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False, repr=False)
 class ProverState:
     goals: tuple
     sigma: Substitution

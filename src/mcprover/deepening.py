@@ -146,7 +146,7 @@ class _DepthSearch:
         self.deadline = deadline
         self.stats = stats
         self.keys = key_table
-        self.kept: dict = {}  # id(state) -> (state, list), for every round
+        self.kept: dict = {}  # state -> successor list, for every round
 
     def run(self, root: ProverState, bound: int):
         """The first closed state within `bound`, or None once every choice is spent."""
@@ -194,16 +194,15 @@ class _DepthSearch:
             raise _OutOfBudget("inferences")
         goal = state.goals[-1]
         # only a state whose parent's list is kept can have an entry; it gets
-        # one when expanded below the bound while there is room, and keeps it;
-        # an entry holds its state, so no other object has its id
-        entry = self.kept.get(id(state)) if parent_kept else None
-        if entry is None and parent_kept and goal.depth < self.calc.depth_bound and len(self.kept) < _KEPT_EXPANSIONS:
-            entry = self.kept[id(state)] = (state, successors(state, self.matrix, self.calc))
-        succs = successors(state, self.matrix, self.calc) if entry is None else entry[1]
+        # one when expanded below the bound while there is room, and keeps it
+        kept = self.kept.get(state) if parent_kept else None
+        if kept is None and parent_kept and goal.depth < self.calc.depth_bound and len(self.kept) < _KEPT_EXPANSIONS:
+            kept = self.kept[state] = successors(state, self.matrix, self.calc)
+        succs = successors(state, self.matrix, self.calc) if kept is None else kept
         self.stats.extension_inferences += extension_count(succs)
         if not self.bound_hit and goal.depth >= self.calc.depth_bound:
             self.bound_hit = has_applicable_extension(state, self.matrix)
-        return _ChoicePoint(iter(succs), goal, len(state.goals) - 1 + (len(goal.clause) > 1), entry is not None)
+        return _ChoicePoint(iter(succs), goal, len(state.goals) - 1 + (len(goal.clause) > 1), kept is not None)
 
     def _closed(self, point: _ChoicePoint):
         """Record that the point's head literal closed; an extension's later

@@ -17,9 +17,10 @@ middle steps depends on the expansion policy:
 - best: the playout runs from the drawn state first; the leaf is then the
   state with the fewest open subgoals along it (the earliest on a tie).
 
-Nodes left with neither children nor unexplored successors are deleted, so
-hopeless subtrees stop attracting exploration; a fully deleted tree means the
-whole space was searched.
+A node's state lives only until its successors are requested. Nodes left
+with neither children nor unexplored successors are deleted, so hopeless
+subtrees stop attracting exploration; a fully deleted tree means the whole
+space was searched.
 
 A node is forced when it has no unexplored successor and one child; it stays
 forced until deleted, since children are added only to nodes with unexplored
@@ -168,10 +169,9 @@ def simulate(start, problem: MctsProblem, max_depth: int, rng: random.Random):
 
 
 class MctsNode:
-    __slots__ = ("state", "children", "unexplored", "visits", "reward_sum", "deleted_visits", "jump")
+    __slots__ = ("children", "unexplored", "visits", "reward_sum", "deleted_visits", "jump")
 
-    def __init__(self, state):
-        self.state = state
+    def __init__(self):
         self.children: list = []
         self.unexplored: list = []
         self.visits = 0
@@ -190,8 +190,8 @@ class SearchStats:
 
 
 def _leaf(problem: MctsProblem, state) -> MctsNode:
-    """A new tree node for `state`, with its successors unexplored."""
-    leaf = MctsNode(state)
+    """A new tree node with the successors of `state` unexplored."""
+    leaf = MctsNode()
     if not problem.is_success(state):
         leaf.unexplored = list(problem.successors(state))
     return leaf

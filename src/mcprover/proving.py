@@ -36,12 +36,12 @@ class ConnectionGame(MctsProblem):
     final state holds the whole proof in its trail. `extension_inferences`
     sums `extension_count` over the successors of every `successors` request,
     which is what inference budgets are charged. The last _KEPT_LISTS
-    computed lists are kept, keyed by the identity of their states, and the
-    oldest goes first. Asking again for a kept state object returns the same
-    list without recomputing it, and is still charged its extensions. That
-    happens when a first-node expansion's playout asks for its leaf, and when
-    a later playout retraces states an earlier one drew from.
-    Each entry holds its state, so no other live object has its id."""
+    computed lists are kept, keyed by their states, which compare by
+    identity, and the oldest goes first. Asking again for a kept state object
+    returns the same list without recomputing it, and is still charged its
+    extensions. That happens when a first-node expansion's playout asks for
+    its leaf, and when a later playout retraces states an earlier one drew
+    from."""
 
     def __init__(
         self,
@@ -57,7 +57,7 @@ class ConnectionGame(MctsProblem):
         self.reward_config = reward or RewardConfig()
         self.model = model or ProvabilityModel()
         self.extension_inferences = 0
-        # id(state) -> (state, successor list, extension count), oldest first
+        # state -> (successor list, extension count), oldest first
         self._kept = {}
 
         # provability value per matrix literal position, plus the start
@@ -88,14 +88,14 @@ class ConnectionGame(MctsProblem):
 
     def successors(self, state: ProverState) -> list:
         kept = self._kept
-        entry = kept.get(id(state))
+        entry = kept.get(state)
         if entry is None:
             if len(kept) >= _KEPT_LISTS:
                 del kept[next(iter(kept))]
             out = successors(state, self.matrix, self.calculus)
-            entry = kept[id(state)] = (state, out, extension_count(out))
-        self.extension_inferences += entry[2]
-        return entry[1]
+            entry = kept[state] = (out, extension_count(out))
+        self.extension_inferences += entry[1]
+        return entry[0]
 
     def weights(self, candidates) -> list:
         policy = self.sim_weights.policy

@@ -442,6 +442,24 @@ def test_ground_path_term_2000_deep():
     assert successors(s, m) == []  # p(B) repeats the ground p(B) of its path
 
 
+def test_deep_state_has_a_safe_repr_and_identity_equality():
+    """A state 1500 extensions down a chain prints without walking its path
+    chain, and a copy of it with the same fields is another state."""
+    n = 1500
+    m = matrix_of("cnf(s, axiom, p0).\n"
+                  + "".join(f"cnf(c{i}, axiom, ~p{i} | p{i + 1}).\n" for i in range(n))
+                  + f"cnf(g, negated_conjecture, ~p{n}).\n")
+    s = successors(initial_state(m), m)[0]  # top -> p0
+    for _ in range(n):
+        s, = successors(s, m)
+    goal = s.goals[-1]
+    assert goal.depth == n and s.extensions == n + 1
+    assert "ProverState" in repr(s) and "Goal" in repr(goal)
+    twin = replace(s)
+    assert twin != s and twin is not s and len({s, twin, s}) == 2
+    assert replace(goal) != goal
+
+
 def test_head_unfolding_to_a_huge_term_is_compared_directly():
     """Along c1 the head p(g(X,X)) doubles its unfolded size per step, past
     what a fingerprint walks; such heads stay loose and regularity still

@@ -240,7 +240,7 @@ def checked_round(run, sizes, searches):
             sizes.append(len(search.kept))
             assert all(search.kept.get(key) is entry for key, entry in before.items())
             assert len(search.kept) <= deepening._KEPT_EXPANSIONS
-            reachable = {id(root)} | {id(s) for _, succs in search.kept.values() for s in succs}
+            reachable = {root}.union(*search.kept.values())
             assert not search.kept.keys() - reachable
     return checked
 
@@ -316,7 +316,7 @@ def test_kept_lists_stay_within_the_cap():
 def test_each_kept_list_is_computed_once_per_search(monkeypatch):
     """A state's list below the bound, once kept, is never computed again,
     also once the table is full, while one left out for want of room is."""
-    below = []  # every state whose list was computed below the bound, held so that no id is reused
+    below = []  # every state whose list was computed below the bound
     compute = deepening.successors
 
     def counted(state, matrix, calc):
@@ -330,7 +330,7 @@ def test_each_kept_list_is_computed_once_per_search(monkeypatch):
     # the table fills in round 11; rounds 12 and 13 recompute the states it had no room for
     res = prove_iterative(matrix_of(BRANCHING), DeepeningOptions(inference_budget=20000))
     assert isinstance(res.outcome, Timeout) and res.stats.rounds == len(searches) == 13
-    counts = Counter(map(id, below))
+    counts = Counter(below)
     kept = searches[0].kept
     assert len(kept) == deepening._KEPT_EXPANSIONS
     assert all(counts[key] == 1 for key in kept)

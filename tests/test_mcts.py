@@ -2,6 +2,7 @@ import gc
 import math
 import os
 import random
+import weakref
 
 import pytest
 
@@ -144,7 +145,7 @@ def test_uct_less_visited_sibling_wins():
 def test_uct_key_matches_uct_value_bit_for_bit():
     rng = random.Random(20261018)
     for _ in range(10000):
-        child = MctsNode(None)
+        child = MctsNode()
         child.visits = rng.randint(1, 10 ** rng.randint(1, 6))
         child.reward_sum = rng.random() * child.visits
         parent_visits = child.visits + rng.randint(0, 10 ** rng.randint(1, 6))
@@ -428,7 +429,7 @@ def test_iteration_budget():
 
 def test_same_seed_same_trace():
     def shape(node):
-        return (node.state, node.visits, tuple(shape(c) for c in node.children))
+        return (node.visits, node.reward_sum, tuple(node.unexplored), tuple(shape(c) for c in node.children))
 
     def trace(seed):
         problem = InfiniteTree(width=3)
@@ -477,7 +478,7 @@ def test_zero_reward_arm_keeps_accruing_visits():
     for i in range(1, 4001):
         mcts_step(tree, config, rng, i)
         if i in (500, 1000, 2000, 4000):
-            zero_arm = [c for c in tree.root.children if c.state == ("a",)][0]
+            zero_arm, = [c for c in tree.root.children if c.reward_sum == 0.0]
             checkpoints.append(zero_arm.visits)
     assert checkpoints == sorted(checkpoints)
     assert all(b > a for a, b in zip(checkpoints, checkpoints[1:]))
@@ -648,28 +649,107 @@ def test_successor_lists_are_never_mutated(expansion):
 
 # --- memory ---------------------------------------------------------------------
 
-def test_finished_search_leaves_no_reference_cycles():
+class Counted:
+    """A state that a WeakSet can hold."""
+
+    __slots__ = ("depth", "__weakref__")
+
+    def __init__(self, depth):
+        self.depth = depth
+
+
+class CountedTree(MctsProblem):
+    """Three successors per state down to depth 5, each a new object that
+    `live` counts while it is alive; the problem keeps none of them."""
+
+    def __init__(self):
+        self.live = weakref.WeakSet()
+
+    def initial_state(self):
+        return self.made(0)
+
+    def made(self, depth):
+        state = Counted(depth)
+        self.live.add(state)
+        return state
+
+    def successors(self, state):
+        return [self.made(state.depth + 1) for _ in range(3)] if state.depth < 5 else []
+
+    def reward(self, state):
+        return state.depth / 5
+
+    def is_success(self, state):
+        return False
+
+
+def unexplored_states(root):
+    out = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        out.update(node.unexplored)
+        stack.extend(node.children)
+    return out
+
+
+@pytest.mark.parametrize("expansion", ["first", "best"])
+def test_tree_keeps_only_unexplored_states(expansion):
+    """After every iteration the live states are exactly the tree's
+    unexplored ones and the best state."""
+    problem = CountedTree()
+    tree = MctsTree(problem, problem.initial_state())
+    rng = random.Random(0)
+    config = SearchConfig(max_sim_depth=3, expansion=expansion)
+    for i in range(1, 301):
+        mcts_step(tree, config, rng, i)
+        assert set(problem.live) == unexplored_states(tree.root) | {tree.stats.best_state}
+    assert tree.stats.deletions > 0
+
+
+def test_game_tree_keeps_only_unexplored_and_kept_states(monkeypatch):
+    """On the connection game the live prover states are the tree's
+    unexplored ones, the best state, and the game's kept states and lists."""
+    monkeypatch.setattr(proving, "_KEPT_LISTS", 8)
+    game = ConnectionGame(load_matrix(f"{bundled_corpus_dir()}/hard_maze14.p"))
+    gc.collect()
+    before = {o for o in gc.get_objects() if type(o) is ProverState}
+    tree = MctsTree(game, game.initial_state())
+    rng = random.Random(0)
+    config = SearchConfig(max_sim_depth=1)
+    for i in range(1, 301):
+        mcts_step(tree, config, rng, i)
+    live = {o for o in gc.get_objects() if type(o) is ProverState} - before
+    kept = set(game._kept).union(*(succs for succs, _ in game._kept.values()))
+    assert live == unexplored_states(tree.root) | {tree.stats.best_state} | kept
+    assert len(live) > len(kept) + 1
+
+
+@pytest.mark.parametrize("name, setup", [
+    ("hard_maze14", dict(engine="mcts", sim_depth=1, reward_ratio_weight=0.0, max_inferences=3000)),
+    ("sat_chain", dict(engine="deepening", max_inferences=20000)),
+], ids=["mcts", "deepening"])
+def test_finished_search_leaves_no_reference_cycles(name, setup):
     from mcprover.cli import EngineSetup, bundled_corpus_dir, run_engine
     from mcprover.clausify import clausify, prepare_matrix
     from mcprover.tptp import load_problem
 
-    path = f"{bundled_corpus_dir()}/hard_maze14.p"
+    path = f"{bundled_corpus_dir()}/{name}.p"
     matrix = prepare_matrix(clausify(load_problem(path)))
-    bf = EngineSetup(engine="mcts", sim_depth=1, reward_ratio_weight=0.0, max_inferences=3000)
     gc.collect()
     gc.disable()
     try:
-        report = run_engine(matrix, bf, "hard_maze14")
+        report = run_engine(matrix, EngineSetup(**setup), name)
     finally:
         gc.enable()
-    assert report.total_inferences >= 3000
+    assert report.total_inferences >= setup["max_inferences"]
     assert gc.collect() == 0
 
 
 def test_deep_node_chain_deallocates():
-    root = node = MctsNode(0)
-    for i in range(500_000):
-        child = MctsNode(i + 1)
+    root = node = MctsNode()
+    for _ in range(500_000):
+        child = MctsNode()
         node.children.append(child)
         node = child
     del node, child
