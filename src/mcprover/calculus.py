@@ -15,18 +15,27 @@ exactly when its goal stack is empty. States are never mutated once built;
 successor construction never touches the parent, which lets tree searches
 share them. Goals and states compare and hash by identity.
 
-A goal's path is a cons chain of cells (literal, fingerprint, index, rest),
-innermost first, that every goal below shares; index is the literal's position
-from the root. One walk of the chain per call finds the reduction partners
-and the literals regularity (no literal repeats one of its path under the
-substitution) compares. The substitution only grows along a branch, so a path
-literal that was ground when pushed stays the same ground literal below. A
-literal is fingerprinted only when some literal of its path had its sign,
-predicate and arity; its cell then keeps that fingerprint (None when it was not
-ground or too large), and one fingerprint comparison settles such a cell for
-every successor. Every other cell is compared under each successor's
-substitution, except after most extensions of a head whose variables are all
-private.
+A goal's path is a cons chain of cells (literal, fingerprint, index, rest,
+older, marks), innermost first, that every goal below shares. index is the
+literal's position from the root; older is the next older cell with the
+literal's sign and predicate, its key. Every _CHECKPOINT-th cell from the
+root is a checkpoint: its marks map each key to the newest cell strictly
+below it, copied from the previous checkpoint's and updated with the cells
+between; other cells have None. A call walks the chain once, back to its
+newest checkpoint, to find the newest cell of the head's key and of the
+complementary one; their older links then lead, innermost first, to the
+reduction partners and to the cells with the head's key and arity, which
+regularity (no literal repeats one of its path under the substitution)
+compares. So a call walks at most _CHECKPOINT cells, and then only cells of
+those two keys, however deep the path.
+
+The substitution only grows along a branch, so a path literal that was
+ground when pushed stays the same ground literal below. A literal is
+fingerprinted only when some literal of its path had its key and arity; its
+cell then keeps that fingerprint (None when it was not ground or too large),
+and one fingerprint comparison settles such a cell for every successor.
+Every other cell is compared under each successor's substitution, except
+after most extensions of a head whose variables are all private.
 
 A variable of a goal's head is private when it occurs in no literal of its
 clause outside the goal: not in the one the clause was connected by, nor in a
@@ -36,8 +45,9 @@ private variable, so no binding mentions one. Extending a head that has
 variables, all private, into a freshly renamed literal thus binds only private
 and fresh variables, to terms built from them alone: every cell keeps its
 image, which holds neither, so the head can repeat a cell only when its image
-is ground. Reductions are still compared: unifying with a partner cell can
-bind a same-key cell's variable to the head's.
+is ground, and only then are the cells of its key listed. Reductions are
+still compared: unifying with a partner cell can bind a same-key cell's
+variable to the head's.
 """
 
 from __future__ import annotations
@@ -93,9 +103,10 @@ class Goal:
     clause_index / literal_indices record where the remaining literals sit in
     the input matrix (clause_index -1 denotes the synthetic start goal); the
     guidance model and training extraction key statistics by those positions.
-    path is the chain of cells (literal, fingerprint, index, rest), innermost
-    first and None when empty; fingerprint is the literal's _fingerprint when
-    it was pushed with one, else None.
+    path is the chain of cells (literal, fingerprint, index, rest, older,
+    marks), innermost first and None when empty (module docstring);
+    fingerprint is the literal's _fingerprint when it was pushed with one,
+    else None.
     """
 
     clause: tuple
@@ -164,6 +175,9 @@ def initial_state(matrix: Matrix) -> ProverState:
 # doubles per binding, so an unbounded walk could take exponential time.
 _FINGERPRINT_TOKENS = 1 << 14
 
+# Every path cell whose index is a multiple of this is a checkpoint.
+_CHECKPOINT = 64
+
 
 def _fingerprint(sigma: Substitution, lit: Literal) -> int | None:
     """A hash of `lit` under sigma, or None when a variable of it is unbound
@@ -220,11 +234,12 @@ def _repeats(sigma: Substitution, head_args: tuple, arg_lists: list) -> bool:
     return False
 
 
-def _repeats_if_ground(sigma: Substitution, head_args: tuple, cells: list) -> bool:
-    """_repeats for an extension of a private head (module docstring), which
-    can repeat a cell only when it grounds the head. The walk for a variable
-    gives up after _FINGERPRINT_TOKENS terms and compares, so a DAG of shared
-    bindings is not unfolded further."""
+def _repeats_if_ground(sigma: Substitution, head_args: tuple, cell: tuple) -> bool:
+    """_repeats against `cell` and its _same_cells for an extension of a
+    private head (module docstring), which can repeat a cell only when it
+    grounds the head. The walk for a variable gives up after
+    _FINGERPRINT_TOKENS terms and compares, so a DAG of shared bindings is
+    not unfolded further."""
     lookup = sigma.lookup
     stack = list(head_args)
     for _ in range(_FINGERPRINT_TOKENS):
@@ -236,7 +251,35 @@ def _repeats_if_ground(sigma: Substitution, head_args: tuple, cells: list) -> bo
             if t is None:
                 return False
         stack.extend(t.args)
-    return _repeats(sigma, head_args, [c[0].args for c in cells])
+    return _repeats(sigma, head_args, [c[0].args for c in _same_cells(cell)])
+
+
+def _same_cells(cell: tuple) -> list:
+    """`cell` and the older cells of its key and arity, innermost first."""
+    arity = len(cell[0].args)
+    out = []
+    while cell is not None:
+        if len(cell[0].args) == arity:
+            out.append(cell)
+        cell = cell[4]
+    return out
+
+
+def _marks(cell: tuple | None) -> dict:
+    """The marks of a checkpoint pushed onto the chain `cell`: the newest cell
+    of each key on it, found by a walk back to its newest checkpoint."""
+    if cell is None:
+        return {}
+    newer = {}
+    while True:
+        lit = cell[0]
+        newer.setdefault((lit.predicate, lit.positive), cell)
+        if cell[5] is not None:
+            break
+        cell = cell[3]
+    marks = cell[5].copy()
+    marks.update(newer)
+    return marks
 
 
 def _private_head(matrix: Matrix, goal: Goal) -> bool:
@@ -290,21 +333,37 @@ def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DE
                                        state.reductions, (LemmaStep(gi, k), state.trail)))
                 break
 
-    # one walk of the path: the complementary cells are the reduction partners,
-    # the cells with the head's sign, predicate and arity those it must not repeat
-    arity = len(head.args)
-    regularity = options.regularity
-    partners = []
-    same = []
+    # the newest cells of the head's key and of the complementary one, found by
+    # a walk back to the newest checkpoint (module docstring); their older
+    # links lead to the reduction partners and to the cells regularity compares
+    newest = partner = None
     cell = goal.path
-    while cell is not None:
-        lit = cell[0]
-        if lit.predicate == head_pred:
-            if lit.positive != head_pos:
-                partners.append(cell)
-            elif regularity and len(lit.args) == arity:
-                same.append(cell)
-        cell = cell[3]
+    if cell is not None:
+        while True:
+            lit = cell[0]
+            if lit.predicate == head_pred:
+                if lit.positive == head_pos:
+                    if newest is None:
+                        newest = cell
+                elif partner is None:
+                    partner = cell
+            if cell[5] is not None:
+                break
+            cell = cell[3]
+        marks = cell[5]
+        if marks:  # the root's are empty
+            if newest is None:
+                newest = marks.get((head_pred, head_pos))
+            if partner is None:
+                partner = marks.get((head_pred, not head_pos))
+    partners = []
+    while partner is not None:
+        partners.append(partner)
+        partner = partner[4]
+    arity = len(head.args)
+    same = newest if options.regularity else None
+    while same is not None and len(same[0].args) != arity:
+        same = same[4]
 
     # a ground head is the same literal under every successor's substitution:
     # its fingerprint settles the same cells that have one, once, and only the
@@ -312,16 +371,19 @@ def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DE
     check = ()
     key = None
     private = False
-    if same:
+    if same is not None:
         key = _fingerprint(sigma, head)
-        if key is not None and _repeats(sigma, head.args, [c[0].args for c in same if c[1] == key]):
-            return out
-        if key is None:  # a head with a private variable has no fingerprint
+        if key is not None:
+            cells = _same_cells(same)
+            if _repeats(sigma, head.args, [c[0].args for c in cells if c[1] == key]):
+                return out
+            check = [c[0].args for c in cells if c[1] is None]
+        else:  # a head with a private variable has no fingerprint
             private = matrix.private_heads.get((goal.clause_index, goal.literal_indices))
             if private is None:
                 private = _private_head(matrix, goal)
-        if partners or not private:  # a private head's extensions list the cells they compare
-            check = [c[0].args for c in same if key is None or c[1] is None]
+            if partners or not private:  # a private head's extensions find the cells they compare
+                check = [c[0].args for c in _same_cells(same)]
 
     for cell in reversed(partners):  # reductions in path order
         sigma2 = unify_args(sigma, head.args, cell[0].args)
@@ -335,7 +397,8 @@ def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DE
     if options.depth_bound is not None and goal.depth >= options.depth_bound:
         return out
 
-    path = (head, key, 0 if goal.path is None else goal.path[2] + 1, goal.path)
+    index = 0 if goal.path is None else goal.path[2] + 1
+    path = (head, key, index, goal.path, newest, None if index % _CHECKPOINT else _marks(goal.path))
     compare = _repeats
     if private:
         compare, check = _repeats_if_ground, same

@@ -22,17 +22,25 @@ round's depth bound, and a deeper bound gives the same list for such a goal.
 It enters only when its parent's list is kept (or it is the root), so every
 entry stays reachable through kept lists in every later round and no slot
 holds a dead entry; a list computed afresh holds new states, which the table
-does not know. A reused list is charged and budget-checked like a computed
-one, so every outcome, count and event is unchanged. On branching problems
-the states below the bound multiply with every round, so the table holds at
-most _KEPT_EXPANSIONS lists and evicts none: each round walks the top of the
+does not know. A list is kept with its extension count, and a reused list is
+charged that count and budget-checked like a computed one, so every outcome,
+count and event is unchanged. On branching problems the states below the
+bound multiply with every round, so the table holds at most
+_KEPT_EXPANSIONS lists and evicts none: each round walks the top of the
 tree first, so the lists kept first are the ones every later round asks
 for, and FIFO eviction would throw out exactly those on any search larger
 than the cap.
+
+`prove_iterative` pauses Python's cyclic collector for the search and
+restores the caller's setting when it returns or raises. Choice points,
+states and kept lists form no reference cycles, so refcounting frees
+whatever a round drops; the collector would only traverse the kept table
+and the live stack again and again.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
@@ -146,7 +154,7 @@ class _DepthSearch:
         self.deadline = deadline
         self.stats = stats
         self.keys = key_table
-        self.kept: dict = {}  # state -> successor list, for every round
+        self.kept: dict = {}  # state -> (successor list, extension count), for every round
 
     def run(self, root: ProverState, bound: int):
         """The first closed state within `bound`, or None once every choice is spent."""
@@ -195,14 +203,18 @@ class _DepthSearch:
         goal = state.goals[-1]
         # only a state whose parent's list is kept can have an entry; it gets
         # one when expanded below the bound while there is room, and keeps it
-        kept = self.kept.get(state) if parent_kept else None
-        if kept is None and parent_kept and goal.depth < self.calc.depth_bound and len(self.kept) < _KEPT_EXPANSIONS:
-            kept = self.kept[state] = successors(state, self.matrix, self.calc)
-        succs = successors(state, self.matrix, self.calc) if kept is None else kept
-        self.stats.extension_inferences += extension_count(succs)
+        entry = self.kept.get(state) if parent_kept else None
+        kept = entry is not None
+        if not kept:
+            succs = successors(state, self.matrix, self.calc)
+            entry = (succs, extension_count(succs))
+            if parent_kept and goal.depth < self.calc.depth_bound and len(self.kept) < _KEPT_EXPANSIONS:
+                self.kept[state] = entry
+                kept = True
+        self.stats.extension_inferences += entry[1]
         if not self.bound_hit and goal.depth >= self.calc.depth_bound:
             self.bound_hit = has_applicable_extension(state, self.matrix)
-        return _ChoicePoint(iter(succs), goal, len(state.goals) - 1 + (len(goal.clause) > 1), kept is not None)
+        return _ChoicePoint(iter(entry[0]), goal, len(state.goals) - 1 + (len(goal.clause) > 1), kept)
 
     def _closed(self, point: _ChoicePoint):
         """Record that the point's head literal closed; an extension's later
@@ -231,6 +243,16 @@ def prove_iterative(matrix: Matrix, options: DeepeningOptions | None = None) -> 
         return DeepeningResult(Saturated(0, complete=True, reason="no positive start clause"), stats)
     deadline = time.monotonic() + options.time_budget if options.time_budget else None
     search = _DepthSearch(matrix, options, deadline, stats, KeyTable(matrix) if options.collect_training else None)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _deepen(search, matrix, options, stats)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _deepen(search: _DepthSearch, matrix: Matrix, options: DeepeningOptions, stats: RunStats) -> DeepeningResult:
     depth = options.start_depth
     root = initial_state(matrix)
     while True:

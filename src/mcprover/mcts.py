@@ -22,6 +22,13 @@ with neither children nor unexplored successors are deleted, so hopeless
 subtrees stop attracting exploration; a fully deleted tree means the whole
 space was searched.
 
+Nodes keep no parent pointers and jumps point down, so a tree holds no
+reference cycles. `run` pauses Python's cyclic collector for the search and
+restores the caller's setting when it returns or raises: refcounting frees
+every node, state and list a search drops, and the collector would only
+traverse the live tree again and again. A problem whose states or lists
+form cycles keeps them until the collector next runs after the search.
+
 A node is forced when it has no unexplored successor and one child; it stays
 forced until deleted, since children are added only to nodes with unexplored
 successors and a forced node that loses its child is dead. Selection at a
@@ -47,6 +54,7 @@ right-hand side.
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 import time
@@ -318,6 +326,16 @@ def run(problem: MctsProblem, config: SearchConfig | None = None, stop=None) -> 
     identical traces.
     """
     config = config or SearchConfig()
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _search(problem, config, stop)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _search(problem: MctsProblem, config: SearchConfig, stop) -> MctsResult:
     started = time.monotonic()
     rng = random.Random(config.seed)
 

@@ -8,7 +8,9 @@ from mcprover import calculus
 from mcprover.calculus import (
     CalculusOptions,
     Extension,
+    Goal,
     LemmaStep,
+    ProverState,
     Reduction,
     initial_state,
     successors,
@@ -17,7 +19,7 @@ from mcprover.clausify import load_matrix, prepare_matrix
 from mcprover.cli import bundled_corpus_dir
 from mcprover.terms import App, Clause, Literal, Matrix, TOP
 from mcprover.unification import literals_equal_under
-from oracles import bindings
+from oracles import bindings, unify
 
 
 def all_descendants(state, matrix, options=CalculusOptions(), limit=2000):
@@ -224,16 +226,34 @@ def test_depth_bound_blocks_extensions():
 
 
 def reference_successors(state, matrix, options):
-    """`successors` filtered by comparing the head with every path literal
-    under the successor's substitution."""
+    """`successors` with the reductions found by unifying the head with each
+    complementary literal of a full path scan, in path order, and the list
+    filtered by comparing the head with every path literal under the
+    successor's substitution."""
     unfiltered = successors(state, matrix, replace(options, regularity=False))
-    if not options.regularity:
-        return unfiltered
-    goal = state.goals[-1]
+    gi = len(state.goals) - 1
+    goal = state.goals[gi]
     head = goal.clause[0]
+    closed = state.goals[:-1]
+    if len(goal.clause) > 1:
+        closed += (Goal(goal.clause[1:], goal.path, goal.lemmas, goal.clause_index, goal.literal_indices[1:]),)
+    reductions = []
+    for lit, _, index in path_cells(goal):
+        if lit.predicate == head.predicate and lit.positive != head.positive:
+            sigma = unify(state.sigma, head, lit)
+            if sigma is not None:
+                reductions.append(ProverState(closed, sigma, state.fresh_var, state.extensions,
+                                              state.reductions + 1, (Reduction(gi, index), state.trail)))
+    out = (
+        [succ for succ in unfiltered if isinstance(succ.trail[0], LemmaStep)]
+        + reductions
+        + [succ for succ in unfiltered if isinstance(succ.trail[0], Extension)]
+    )
+    if not options.regularity:
+        return out
     return [
         succ
-        for succ in unfiltered
+        for succ in out
         if isinstance(succ.trail[0], LemmaStep)
         or not any(literals_equal_under(succ.sigma, head, lit) for lit in path_literals(goal))
     ]
@@ -480,3 +500,106 @@ def test_head_unfolding_to_a_huge_term_is_compared_directly():
         goal = s.goals[-1]
         assert [index for _, _, index in path_cells(goal)] == list(range(goal.depth + 1))
     assert len(ground_cells(s.goals[-1])) < 20
+
+
+# --- the key index on paths that cross checkpoints ---------------------------
+
+
+def checkpoints(goal):
+    """The indices of the goal's path cells that hold marks."""
+    out = []
+    cell = goal.path
+    while cell is not None:
+        if cell[5] is not None:
+            out.append(cell[2])
+        cell = cell[3]
+    return out
+
+
+def assert_index_matches_full_scan(state, matrix):
+    for options in (CalculusOptions(), CalculusOptions(regularity=False)):
+        assert shape(successors(state, matrix, options)) == shape(reference_successors(state, matrix, options))
+
+
+def chain_descent(m, steps):
+    """The states from the start along, per step, the first extension into
+    that clause index, or the first reduction for None, each checked against
+    the full-path scan on the way."""
+    state = initial_state(m)
+    for step in steps:
+        assert_index_matches_full_scan(state, m)
+        state = next(x for x in successors(state, m)
+                     if (step is None and isinstance(x.trail[0], Reduction)) or getattr(x.trail[0], "clause", -1) == step)
+    return state
+
+
+def test_index_matches_full_scan_on_a_200_step_chain():
+    """A propositional chain with a clause back to p5 near its end, which
+    regularity prunes, and a goal clause whose ~p3 reduces against the p3
+    near its root."""
+    n = 200
+    m = matrix_of("cnf(s, axiom, p0).\n"
+                  + "".join(f"cnf(c{i}, axiom, ~p{i} | p{i + 1}).\n" for i in range(n))
+                  + f"cnf(back, axiom, ~p{n - 1} | p5).\ncnf(g, negated_conjecture, ~p{n} | ~p3).\n")
+    state = chain_descent(m, range(n + 1))
+    assert checkpoints(state.goals[-1]) == [192, 128, 64, 0]
+    assert_index_matches_full_scan(state, m)
+    loop = chain_descent(m, [*range(n), n + 1])  # goal p5 above the p5 of the path
+    assert_index_matches_full_scan(loop, m)
+    assert successors(loop, m) == [] != successors(loop, m, CalculusOptions(regularity=False))
+    closing = chain_descent(m, [*range(n + 1), n + 2])  # goal ~p3
+    assert_index_matches_full_scan(closing, m)
+    assert [x.trail[0] for x in successors(closing, m) if isinstance(x.trail[0], Reduction)] == [Reduction(0, 4)]
+
+
+# A chain whose path alternates p_k with an r literal, r occurring with both
+# signs and with one and two arguments. The ~r(Y) heads reduce against every
+# r(c_j) cell below them, and their extensions into r(c_j) repeat the ~r(c_j)
+# cells, both across checkpoints; the one into r(d_k) makes ~r(d_k), which
+# the ~r(d_k,c_j) further down does not repeat. (Each b clause's ~p0, which
+# keeps it from being a start clause, reduces against the p0 at the bottom
+# of the path.)
+_MIXED_R = [("r(c{k})", "~r(c{k})"), ("~r(c{k})", "r(c{k})"), ("r(c{k},Z)", "~r(c{k},c{k})"),
+            ("~r(d{k6},c{k})", "r(d{k6},W)"), ("~r(Y)", "r(d{k})")]
+
+
+def test_index_matches_full_scan_on_a_mixed_key_chain():
+    n = 90
+    lines = ["cnf(s, axiom, p0).\n"]
+    for k in range(n):
+        pushed, connected = (text.format(k=k, k6=k + 6) for text in _MIXED_R[k % len(_MIXED_R)])
+        lines.append(f"cnf(a{k}, axiom, ~p{k} | {pushed}).\ncnf(b{k}, axiom, {connected} | ~p0 | p{k + 1}).\n")
+    m = matrix_of("".join(lines))
+    steps = [0] + [step for k in range(n) for step in (2 * k + 1, 2 * k + 2, None)]
+    state = chain_descent(m, steps)
+    goal = state.goals[-1]
+    assert len(state.goals) == 1 and goal.depth == 2 * n and len(checkpoints(goal)) == 3
+    assert_index_matches_full_scan(state, m)
+    # the last ~r(Y) head reduces against the r(c_j) below every checkpoint
+    before = chain_descent(m, steps[:-2])
+    assert before.goals[-1].clause[0].predicate == "r" and not before.goals[-1].clause[0].positive
+    reductions = [x.trail[0].path_index for x in successors(before, m) if isinstance(x.trail[0], Reduction)]
+    assert len(reductions) == n // len(_MIXED_R) and min(reductions) < 64 < 128 < max(reductions)
+
+
+def test_index_matches_full_scan_on_deep_mcts_states():
+    """The states a bf MCTS run on hard_maze15 asks successors for, 130 and
+    more extensions deep."""
+    from mcprover.mcts import SearchConfig, run
+    from mcprover.proving import ConnectionGame
+
+    game = ConnectionGame(load_matrix(f"{bundled_corpus_dir()}/hard_maze15.p"))
+    deep = []
+    compute = game.successors
+
+    def recorded(state):
+        if state.goals[-1].depth > 130:
+            deep.append(state)
+        return compute(state)
+
+    game.successors = recorded
+    run(game, SearchConfig(seed=0, max_sim_depth=1), stop=lambda: game.extension_inferences >= 3000)
+    assert len(deep) > 1000
+    assert max(len(checkpoints(s.goals[-1])) for s in deep) >= 4
+    for state in deep[::5]:
+        assert_index_matches_full_scan(state, game.matrix)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from conftest import matrix_of
 from mcprover import deepening
+from mcprover.calculus import extension_count
 from mcprover.checker import check_proof, format_certificate
 from mcprover.deepening import (
     DeepeningOptions,
@@ -229,8 +230,8 @@ def run_summary(matrix, options):
 def checked_round(run, sizes, searches):
     """`_DepthSearch.run` that records the search and how many lists it kept
     after each round, and checks that the round only added lists, within the
-    cap, and kept only lists of states later rounds reach through kept lists:
-    the root and their successors."""
+    cap, each with its extension count, and kept only lists of states later
+    rounds reach through kept lists: the root and their successors."""
     def checked(search, root, bound):
         before = dict(search.kept)
         try:
@@ -240,7 +241,8 @@ def checked_round(run, sizes, searches):
             sizes.append(len(search.kept))
             assert all(search.kept.get(key) is entry for key, entry in before.items())
             assert len(search.kept) <= deepening._KEPT_EXPANSIONS
-            reachable = {root}.union(*search.kept.values())
+            assert all(count == extension_count(succs) for succs, count in search.kept.values())
+            reachable = {root}.union(*(succs for succs, _ in search.kept.values()))
             assert not search.kept.keys() - reachable
     return checked
 
@@ -315,16 +317,21 @@ def test_kept_lists_stay_within_the_cap():
 
 def test_each_kept_list_is_computed_once_per_search(monkeypatch):
     """A state's list below the bound, once kept, is never computed again,
-    also once the table is full, while one left out for want of room is."""
+    also once the table is full, while one left out for want of room is.
+    Each list's extensions are counted once, when it is computed."""
     below = []  # every state whose list was computed below the bound
+    computed = []  # every list computed
+    counted_lists = []  # every list whose extensions were counted
     compute = deepening.successors
 
     def counted(state, matrix, calc):
         if state.goals[-1].depth < calc.depth_bound:
             below.append(state)
-        return compute(state, matrix, calc)
+        computed.append(compute(state, matrix, calc))
+        return computed[-1]
 
     monkeypatch.setattr(deepening, "successors", counted)
+    monkeypatch.setattr(deepening, "extension_count", lambda succs: counted_lists.append(succs) or extension_count(succs))
     searches = []
     monkeypatch.setattr(deepening._DepthSearch, "run", checked_round(deepening._DepthSearch.run, [], searches))
     # the table fills in round 11; rounds 12 and 13 recompute the states it had no room for
@@ -335,3 +342,4 @@ def test_each_kept_list_is_computed_once_per_search(monkeypatch):
     assert len(kept) == deepening._KEPT_EXPANSIONS
     assert all(counts[key] == 1 for key in kept)
     assert max(counts.values()) > 1
+    assert len(counted_lists) == len(computed) and all(a is b for a, b in zip(counted_lists, computed))

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import math
 import os
@@ -7,7 +8,7 @@ import weakref
 import pytest
 
 from conftest import matrix_of
-from mcprover import proving
+from mcprover import deepening, proving
 from mcprover.calculus import ProverState
 from mcprover.checker import ProofCertificate, certificate_for
 from mcprover.cli import bundled_corpus_dir
@@ -495,8 +496,6 @@ def test_stop_is_asked_before_every_iteration():
 def test_bf_playout_reuses_the_expansion_successors(monkeypatch):
     """Under first-node expansion the new leaf's successors are computed once
     per iteration, shared by the leaf and the playout's first step."""
-    from mcprover import proving
-
     calls = []
     compute = proving.successors
     monkeypatch.setattr(proving, "successors", lambda *args: calls.append(1) or compute(*args))
@@ -725,6 +724,19 @@ def test_game_tree_keeps_only_unexplored_and_kept_states(monkeypatch):
     assert len(live) > len(kept) + 1
 
 
+def collected_after(search):
+    """Runs `search()` with the collector off; returns what it returned and
+    the number of objects a full collection then frees, which only reference
+    cycles it dropped leave behind."""
+    gc.collect()
+    gc.disable()
+    try:
+        result = search()
+    finally:
+        gc.enable()
+    return result, gc.collect()
+
+
 @pytest.mark.parametrize("name, setup", [
     ("hard_maze14", dict(engine="mcts", sim_depth=1, reward_ratio_weight=0.0, max_inferences=3000)),
     ("sat_chain", dict(engine="deepening", max_inferences=20000)),
@@ -736,14 +748,95 @@ def test_finished_search_leaves_no_reference_cycles(name, setup):
 
     path = f"{bundled_corpus_dir()}/{name}.p"
     matrix = prepare_matrix(clausify(load_problem(path)))
-    gc.collect()
-    gc.disable()
-    try:
-        report = run_engine(matrix, EngineSetup(**setup), name)
-    finally:
-        gc.enable()
+    report, freed = collected_after(lambda: run_engine(matrix, EngineSetup(**setup), name))
     assert report.total_inferences >= setup["max_inferences"]
-    assert gc.collect() == 0
+    assert freed == 0
+
+
+@pytest.mark.parametrize("kind, expansion", [
+    ("unguided", "first"), ("guided", "first"), ("bf", "best"), ("guided", "best"),
+])
+def test_finished_bench_search_leaves_no_reference_cycles(bench_configs, kind, expansion):
+    """The `mcts-eval` configurations, the guided one with rank weights and a
+    model, under both expansion policies."""
+    problems, configs = bench_configs
+    game_kwargs, search_kwargs = configs[kind]
+    game = ConnectionGame(dict(problems)["hard_maze14"], **game_kwargs)
+    config = SearchConfig(seed=0, expansion=expansion, **search_kwargs)
+    result, freed = collected_after(lambda: run(game, config, stop=lambda: game.extension_inferences >= 3000))
+    assert isinstance(result.outcome, BudgetSpent) and result.stats.iterations > 100
+    assert freed == 0
+
+
+def test_finished_tsp_search_leaves_no_reference_cycles():
+    from mcprover.tsp import TspGame, TspInstance
+
+    result, freed = collected_after(lambda: run(TspGame(TspInstance.random(8, seed=0)), SearchConfig(max_iterations=500)))
+    assert result.stats.iterations == 500
+    assert freed == 0
+
+
+@contextlib.contextmanager
+def collector(enabled):
+    """The cyclic collector switched on or off inside, and back as it was after."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+class Raised(Exception):
+    pass
+
+
+@pytest.mark.parametrize("caller", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("ending", ["returns", "bad reward", "stop raises"])
+def test_mcts_run_pauses_and_restores_the_collector(caller, ending):
+    seen = []  # whether the collector ran, as each stop() saw it
+
+    def stop():
+        seen.append(gc.isenabled())
+        if ending == "stop raises":
+            raise Raised
+        return False
+
+    problem = InfiniteTree(reward=2.0 if ending == "bad reward" else 0.5)
+    with collector(caller):
+        if ending == "returns":
+            assert run(problem, SearchConfig(max_iterations=20), stop).stats.iterations == 20
+        else:
+            with pytest.raises(ValueError if ending == "bad reward" else Raised):
+                run(problem, SearchConfig(max_iterations=20), stop)
+        after = gc.isenabled()
+    assert after == caller
+    assert seen and not any(seen)
+
+
+@pytest.mark.parametrize("caller", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+def test_prove_iterative_pauses_and_restores_the_collector(monkeypatch, caller, raises):
+    seen = []  # whether the collector ran, as each successors call saw it
+    compute = deepening.successors
+
+    def observed(*args):
+        seen.append(gc.isenabled())
+        if raises:
+            raise Raised
+        return compute(*args)
+
+    monkeypatch.setattr(deepening, "successors", observed)
+    matrix = matrix_of("cnf(c1, axiom, p).\ncnf(c2, axiom, ~p | q).\ncnf(c3, axiom, ~q).\n")
+    with collector(caller):
+        if raises:
+            with pytest.raises(Raised):
+                prove_iterative(matrix)
+        else:
+            assert prove_iterative(matrix).proved
+        after = gc.isenabled()
+    assert after == caller
+    assert seen and not any(seen)
 
 
 def test_deep_node_chain_deallocates():
