@@ -15,6 +15,12 @@ exactly when its goal stack is empty. States are never mutated once built;
 successor construction never touches the parent, which lets tree searches
 share them. Goals and states compare and hash by identity.
 
+Extensions read the matrix's extension table, built once per (predicate,
+sign) of a goal literal: the candidates in matrix order, each with its
+clause's variable count, connected literal and remaining literals. Only
+clauses with variables are renamed, so every goal opened from a ground
+clause shares its remaining literals.
+
 A goal's path is a cons chain of cells (literal, fingerprint, index, rest,
 older, marks), innermost first, that every goal below shares. index is the
 literal's position from the root; older is the next older cell with the
@@ -402,29 +408,43 @@ def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DE
     compare = _repeats
     if private:
         compare, check = _repeats_if_ground, same
-    for ci, li in matrix.candidates(head_pred, head_pos):
-        clause = matrix.clauses[ci]
-        offset = state.fresh_var
-        if clause.var_count:
-            target = rename_literal(clause.literals[li], offset)
-        else:
-            target = clause.literals[li]
-        sigma2 = unify_args(sigma, head.args, target.args)  # the index matched predicate and sign
+    offset = state.fresh_var
+    for ci, li, var_count, lit, others, indices in _extension_entries(matrix, head_pred, head_pos):
+        if var_count:
+            lit = rename_literal(lit, offset)
+        sigma2 = unify_args(sigma, head.args, lit.args)  # the index matched predicate and sign
         if sigma2 is None:
             continue
         if check and compare(sigma2, head.args, check):
             continue
-        if clause.var_count:
-            new_lits = tuple(rename_literal(lit, offset) for j, lit in enumerate(clause.literals) if j != li)
-        else:
-            new_lits = clause.literals[:li] + clause.literals[li + 1:]
         new_goals = extended
-        if new_lits:
-            indices = tuple(j for j in range(len(clause.literals)) if j != li)
-            new_goals = extended + (Goal(new_lits, path, goal.lemmas, ci, indices),)
-        out.append(ProverState(new_goals, sigma2, offset + clause.var_count, state.extensions + 1,
+        if others:
+            if var_count:
+                others = tuple([rename_literal(other, offset) for other in others])
+            new_goals = extended + (Goal(others, path, goal.lemmas, ci, indices),)
+        out.append(ProverState(new_goals, sigma2, offset + var_count, state.extensions + 1,
                                state.reductions, (Extension(gi, ci, li), state.trail)))
     return out
+
+
+def _extension_entries(matrix: Matrix, predicate: str, positive: bool) -> tuple:
+    """The extension table's entries for a goal literal with this predicate
+    and sign (module docstring): (clause index, literal index, var_count,
+    connected literal, remaining literals, remaining indices), unrenamed.
+    Only keys of the matrix's index are entered, so the table stays within
+    the index's size."""
+    entries = matrix.extension_table.get((predicate, positive))
+    if entries is None:
+        entries = []
+        for ci, li in matrix.candidates(predicate, positive):
+            clause = matrix.clauses[ci]
+            indices = tuple([j for j in range(len(clause.literals)) if j != li])
+            others = tuple([clause.literals[j] for j in indices])
+            entries.append((ci, li, clause.var_count, clause.literals[li], others, indices))
+        entries = tuple(entries)
+        if entries:
+            matrix.extension_table[predicate, positive] = entries
+    return entries
 
 
 def extension_count(states: list) -> int:
@@ -435,10 +455,10 @@ def extension_count(states: list) -> int:
 def has_applicable_extension(state: ProverState, matrix: Matrix) -> bool:
     """Whether some extension unifies for the designated goal, ignoring any
     depth bound. Used to distinguish exhausted spaces from bounded ones."""
-    goal = state.goals[-1]
-    head = goal.clause[0]
-    for ci, li in matrix.candidates(head.predicate, head.positive):
-        target = rename_literal(matrix.clauses[ci].literals[li], state.fresh_var)
-        if unify_args(state.sigma, head.args, target.args) is not None:
+    head = state.goals[-1].clause[0]
+    for _, _, var_count, lit, _, _ in _extension_entries(matrix, head.predicate, head.positive):
+        if var_count:
+            lit = rename_literal(lit, state.fresh_var)
+        if unify_args(state.sigma, head.args, lit.args) is not None:
             return True
     return False

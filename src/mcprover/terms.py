@@ -155,6 +155,8 @@ class Matrix:
     digest: str = ""
     # (clause index, remaining literal indices) -> calculus's lazy privacy verdict
     private_heads: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (predicate, polarity-of-a-goal-literal) -> calculus's lazily built extension entries
+    extension_table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def candidates(self, predicate: str, positive: bool) -> tuple:
         return self.index.get((predicate, positive), ())

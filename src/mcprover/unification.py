@@ -28,6 +28,36 @@ class Substitution:
 EMPTY_SUBSTITUTION = Substitution()
 
 
+def _occurs(var_id: int, t, new: dict, lookup) -> bool:
+    """Whether the variable `var_id` occurs in `t` under the bindings of `new`
+    and then `lookup`. A compound with several arguments is walked once:
+    bindings that share a variable make a DAG whose unfolding can be
+    exponential."""
+    stack = [t]
+    seen = None
+    while stack:
+        u = stack.pop()
+        while type(u) is Var:
+            bound = new.get(u.id)
+            if bound is None:
+                bound = lookup(u.id)
+                if bound is None:
+                    break
+            u = bound
+        if type(u) is Var:
+            if u.id == var_id:
+                return True
+            continue
+        if len(u.args) > 1:
+            if seen is None:
+                seen = set()
+            elif id(u) in seen:
+                continue
+            seen.add(id(u))
+        stack.extend(u.args)
+    return False
+
+
 def unify_args(sigma: Substitution, xs: tuple, ys: tuple) -> Substitution | None:
     """Unify the terms of `xs` and `ys` pairwise: an extension of `sigma`, or
     None on a clash or an occurs-check failure."""
@@ -35,55 +65,38 @@ def unify_args(sigma: Substitution, xs: tuple, ys: tuple) -> Substitution | None
         return None
     new: dict = {}
     lookup = sigma.lookup
-
-    def walk(t):
-        while isinstance(t, Var):
-            bound = new.get(t.id)
-            if bound is None:
-                bound = lookup(t.id)
-            if bound is None:
-                return t
-            t = bound
-        return t
-
-    def occurs(var_id, t) -> bool:
-        # a compound with several arguments is walked once: bindings that
-        # share a variable make a DAG whose unfolding can be exponential
-        stack = [t]
-        seen = None
-        while stack:
-            u = walk(stack.pop())
-            if isinstance(u, Var):
-                if u.id == var_id:
-                    return True
-                continue
-            if len(u.args) > 1:
-                if seen is None:
-                    seen = set()
-                elif id(u) in seen:
-                    continue
-                seen.add(id(u))
-            stack.extend(u.args)
-        return False
-
     stack = list(zip(xs, ys))
     # (id, id) of the pairs of compounds with several arguments whose
     # arguments are stacked, so that shared bindings are not unfolded
     pushed = None
     while stack:
         a, b = stack.pop()
-        a = walk(a)
-        b = walk(b)
+        while type(a) is Var:
+            bound = new.get(a.id)
+            if bound is None:
+                bound = lookup(a.id)
+                if bound is None:
+                    break
+            a = bound
+        while type(b) is Var:
+            bound = new.get(b.id)
+            if bound is None:
+                bound = lookup(b.id)
+                if bound is None:
+                    break
+            b = bound
         if a is b:
             continue
-        if isinstance(a, Var):
-            if isinstance(b, Var) and a.id == b.id:
+        if type(a) is Var:
+            if type(b) is Var:  # two unbound variables: no occurs check can fail
+                if a.id != b.id:
+                    new[a.id] = b
                 continue
-            if occurs(a.id, b):
+            if _occurs(a.id, b, new, lookup):
                 return None
             new[a.id] = b
-        elif isinstance(b, Var):
-            if occurs(b.id, a):
+        elif type(b) is Var:
+            if _occurs(b.id, a, new, lookup):
                 return None
             new[b.id] = a
         else:

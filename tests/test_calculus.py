@@ -17,7 +17,7 @@ from mcprover.calculus import (
 )
 from mcprover.clausify import load_matrix, prepare_matrix
 from mcprover.cli import bundled_corpus_dir
-from mcprover.terms import App, Clause, Literal, Matrix, TOP
+from mcprover.terms import App, Clause, Literal, Matrix, TOP, rename_literal
 from mcprover.unification import literals_equal_under
 from oracles import bindings, unify
 
@@ -226,29 +226,50 @@ def test_depth_bound_blocks_extensions():
 
 
 def reference_successors(state, matrix, options):
-    """`successors` with the reductions found by unifying the head with each
-    complementary literal of a full path scan, in path order, and the list
+    """`successors` built from the definitions: the first lemma equal to the
+    head, the reductions found by unifying the head with each complementary
+    literal of a full path scan, in path order, and an extension per
+    complementary literal of each clause, renamed, in matrix order; the list
     filtered by comparing the head with every path literal under the
     successor's substitution."""
-    unfiltered = successors(state, matrix, replace(options, regularity=False))
     gi = len(state.goals) - 1
     goal = state.goals[gi]
     head = goal.clause[0]
-    closed = state.goals[:-1]
+    closed = extended = state.goals[:-1]
     if len(goal.clause) > 1:
-        closed += (Goal(goal.clause[1:], goal.path, goal.lemmas, goal.clause_index, goal.literal_indices[1:]),)
-    reductions = []
+        kept = goal.literal_indices[1:]
+        closed += (Goal(goal.clause[1:], goal.path, goal.lemmas, goal.clause_index, kept),)
+        extended += (Goal(goal.clause[1:], goal.path, goal.lemmas + (head,), goal.clause_index, kept),)
+    out = []
+    if options.lemmas:
+        for k, lemma in enumerate(goal.lemmas):
+            if literals_equal_under(state.sigma, head, lemma):
+                out.append(ProverState(closed, state.sigma, state.fresh_var, state.extensions,
+                                       state.reductions, (LemmaStep(gi, k), state.trail)))
+                break
     for lit, _, index in path_cells(goal):
         if lit.predicate == head.predicate and lit.positive != head.positive:
             sigma = unify(state.sigma, head, lit)
             if sigma is not None:
-                reductions.append(ProverState(closed, sigma, state.fresh_var, state.extensions,
-                                              state.reductions + 1, (Reduction(gi, index), state.trail)))
-    out = (
-        [succ for succ in unfiltered if isinstance(succ.trail[0], LemmaStep)]
-        + reductions
-        + [succ for succ in unfiltered if isinstance(succ.trail[0], Extension)]
-    )
+                out.append(ProverState(closed, sigma, state.fresh_var, state.extensions,
+                                       state.reductions + 1, (Reduction(gi, index), state.trail)))
+    if options.depth_bound is None or goal.depth < options.depth_bound:
+        # a path cell as `path_cells` and `Goal.depth` read it
+        path = (head, None, 0 if goal.path is None else goal.path[2] + 1, goal.path)
+        for ci, clause in enumerate(matrix.clauses):
+            for li, lit in enumerate(clause.literals):
+                if lit.predicate != head.predicate or lit.positive == head.positive:
+                    continue
+                sigma = unify(state.sigma, head, rename_literal(lit, state.fresh_var))
+                if sigma is None:
+                    continue
+                indices = tuple(j for j in range(len(clause.literals)) if j != li)
+                goals = extended
+                if indices:
+                    renamed = tuple(rename_literal(clause.literals[j], state.fresh_var) for j in indices)
+                    goals += (Goal(renamed, path, goal.lemmas, ci, indices),)
+                out.append(ProverState(goals, sigma, state.fresh_var + clause.var_count, state.extensions + 1,
+                                       state.reductions, (Extension(gi, ci, li), state.trail)))
     if not options.regularity:
         return out
     return [

@@ -2,6 +2,7 @@ import pytest
 
 from mcprover.cli import bundled_corpus_dir, load_corpus
 from mcprover.clausify import ClausifyError, ClausifyOptions, clausify, load_matrix, prepare_matrix
+from mcprover.deepening import DeepeningOptions, prove_iterative
 from mcprover.terms import NEG_TOP, TOP_PREDICATE, Matrix, clause_to_str, matrix_to_cnf
 from mcprover.tptp import parse_problem
 
@@ -121,7 +122,9 @@ def test_prepare_marks_every_positive_clause():
 
 def test_preparing_a_prepared_matrix_changes_nothing():
     """Prepared start clauses begin with ~$top, so they are not prepared again;
-    whether a start clause exists follows from the clauses alone."""
+    whether a start clause exists follows from the clauses alone. The tables
+    a search fills are keyed within the index and leave the matrix equal to
+    a fresh one."""
     for problem in load_corpus(bundled_corpus_dir()):
         once = load_matrix(problem.path)
         for twice in (prepare_matrix(once), prepare_matrix(Matrix(once.clauses))):
@@ -129,6 +132,10 @@ def test_preparing_a_prepared_matrix_changes_nothing():
             assert twice.index == once.index and twice.digest == once.digest
             assert twice.has_positive_start == once.has_positive_start
         assert once.has_positive_start == any(c.literals[0] == NEG_TOP for c in once.clauses)
+        prove_iterative(once, DeepeningOptions(inference_budget=200))
+        assert bool(once.extension_table) == once.has_positive_start, problem.name
+        assert once.extension_table.keys() <= once.index.keys()
+        assert once == prepare_matrix(Matrix(once.clauses))
 
 
 def test_extension_index_soundness():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from conftest import matrix_of
 from mcprover import deepening
-from mcprover.calculus import extension_count
+from mcprover.calculus import CalculusOptions, Extension, extension_count, successors
 from mcprover.checker import check_proof, format_certificate
 from mcprover.deepening import (
     DeepeningOptions,
@@ -203,6 +203,25 @@ def test_top_connection_target_not_recorded(unit_pair_matrix):
     neg_top_key = keys.key(0, 0)  # the added ~top literal of the prepared clause
     assert unit_pair_matrix.clauses[0].literals[0].predicate == TOP_PREDICATE
     assert all(event.key != neg_top_key for event in res.events)
+
+
+def test_bound_probe_agrees_with_the_unpruned_extensions(monkeypatch):
+    """Wherever the corpus's deepening runs probe a state at the depth bound,
+    `has_applicable_extension` answers whether its unpruned successor list
+    holds an extension."""
+    probed = []
+    probe = deepening.has_applicable_extension
+    monkeypatch.setattr(deepening, "has_applicable_extension",
+                        lambda state, matrix: probed.append((state, matrix)) or probe(state, matrix))
+    for info in annotated_corpus():
+        prove_iterative(load_matrix(info.path), DeepeningOptions(max_depth=info.depth_bound))
+    answers = Counter()
+    for state, matrix in probed:
+        unpruned = successors(state, matrix, CalculusOptions(regularity=False))
+        answer = probe(state, matrix)
+        assert answer == any(type(x.trail[0]) is Extension for x in unpruned)
+        answers[answer] += 1
+    assert answers[True] and answers[False], answers
 
 
 # --- successor lists kept across rounds ----------------------------------------

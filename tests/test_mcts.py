@@ -428,21 +428,39 @@ def test_iteration_budget():
     assert result.stats.iterations == 25
 
 
+def tree_shape(node):
+    return (node.visits, node.reward_sum, tuple(state_key(s) for s in node.unexplored),
+            tuple(tree_shape(c) for c in node.children))
+
+
+def trace(problem, config, iterations):
+    """The tree shape and stats after `iterations` steps, or fewer when one
+    finds a solution."""
+    tree = MctsTree(problem, problem.initial_state())
+    rng = random.Random(config.seed)
+    for i in range(iterations):
+        if mcts_step(tree, config, rng, i + 1) is not None:
+            break
+    return tree_shape(tree.root), stats_key(tree.stats)
+
+
 def test_same_seed_same_trace():
-    def shape(node):
-        return (node.visits, node.reward_sum, tuple(node.unexplored), tuple(shape(c) for c in node.children))
+    def seeded(seed):
+        return trace(InfiniteTree(width=3), SearchConfig(seed=seed, max_sim_depth=3), 120)
 
-    def trace(seed):
-        problem = InfiniteTree(width=3)
-        tree = MctsTree(problem, problem.initial_state())
-        rng = random.Random(seed)
-        config = SearchConfig(max_sim_depth=3)
-        for i in range(120):
-            mcts_step(tree, config, rng, i + 1)
-        return shape(tree.root)
+    assert seeded(9) == seeded(9)
+    assert seeded(9) != seeded(10)
 
-    assert trace(9) == trace(9)
-    assert trace(9) != trace(10)
+
+def test_second_search_on_a_matrix_traces_as_a_fresh_one():
+    """The tables that a bf search fills on its matrix leave the next bf
+    search on it the same as one on a freshly loaded matrix."""
+    path = f"{bundled_corpus_dir()}/hard_maze14.p"
+    config = SearchConfig(seed=0, max_sim_depth=1)
+    matrix = load_matrix(path)
+    first = trace(ConnectionGame(matrix), config, 200)
+    assert matrix.extension_table
+    assert trace(ConnectionGame(matrix), config, 200) == first == trace(ConnectionGame(load_matrix(path)), config, 200)
 
 
 def test_solution_is_the_goal_state():
