@@ -39,9 +39,11 @@ The substitution only grows along a branch, so a path literal that was
 ground when pushed stays the same ground literal below. A literal is
 fingerprinted only when some literal of its path had its key and arity; its
 cell then keeps that fingerprint (None when it was not ground or too large),
-and one fingerprint comparison settles such a cell for every successor.
-Every other cell is compared under each successor's substitution, except
-after most extensions of a head whose variables are all private.
+and one fingerprint comparison settles such a cell for every successor. A
+ground head keeps its image the same way, so a same-key cell that it repeats
+under σ, fingerprinted or not, ends the call. Every other cell is compared
+under each successor's substitution, except after most extensions of a head
+whose variables are all private.
 
 A variable of a goal's head is private when it occurs in no literal of its
 clause outside the goal: not in the one the clause was connected by, nor in a
@@ -70,20 +72,21 @@ from .unification import (
 )
 
 
-@dataclass(frozen=True)
+# Actions are value classes like the terms (see `terms`): never assigned to.
+@dataclass(slots=True, unsafe_hash=True)
 class Reduction:
     goal: int
     path_index: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Extension:
     goal: int
     clause: int
     literal: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class LemmaStep:
     goal: int
     lemma_index: int
@@ -371,9 +374,9 @@ def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DE
     while same is not None and len(same[0].args) != arity:
         same = same[4]
 
-    # a ground head is the same literal under every successor's substitution:
-    # its fingerprint settles the same cells that have one, once, and only the
-    # others are compared per successor
+    # a ground head keeps its image under every successor's σ, which extends
+    # σ: a cell it repeats under σ ends the call, and only cells without a
+    # fingerprint are compared per successor
     check = ()
     key = None
     private = False
@@ -381,7 +384,7 @@ def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DE
         key = _fingerprint(sigma, head)
         if key is not None:
             cells = _same_cells(same)
-            if _repeats(sigma, head.args, [c[0].args for c in cells if c[1] == key]):
+            if _repeats(sigma, head.args, [c[0].args for c in cells if c[1] == key or c[1] is None]):
                 return out
             check = [c[0].args for c in cells if c[1] is None]
         else:  # a head with a private variable has no fingerprint

@@ -10,6 +10,10 @@ applications.
 Terms are walked by `subterms`, `map_variables` and `term_text`, or under σ
 in unification and the calculus, always on explicit stacks, so any depth
 works. `App`'s generated `==` and `hash` recurse: keep them off nested terms.
+
+`Var`, `FVar`, `App` and `Literal` are slotted value classes that compare and
+hash by their fields; their constructors set fields directly, and nothing
+assigns to a field once built (`tests/test_api_surface.py` checks).
 """
 
 from __future__ import annotations
@@ -21,17 +25,17 @@ TOP_PREDICATE = "$top"
 EQ_PREDICATE = "="
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Var:
     id: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FVar:
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class App:
     functor: str
     args: tuple = ()
@@ -40,7 +44,7 @@ class App:
 Term = Var | FVar | App
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Literal:
     positive: bool
     predicate: str

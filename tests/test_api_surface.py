@@ -6,6 +6,10 @@ A name counts as used where an AST `Name` or `Attribute` node outside its own
 definition refers to it; mentions in docstrings, comments and import lists do
 not count. No module of the package or the tests imports a name it never
 reads.
+
+Terms, literals and calculus actions are slotted value classes whose fields
+are set only by their constructors; no module of the package assigns to an
+attribute named like one of their fields.
 """
 
 import ast
@@ -93,3 +97,46 @@ def test_no_unused_imports():
         for name, line in _unused_imports(_parse(path))
     ]
     assert unused == []
+
+
+# The fields of terms.Var, FVar, App and Literal and of calculus.Reduction,
+# Extension and LemmaStep.
+VALUE_FIELDS = {"id", "name", "functor", "args", "positive", "predicate",
+                "goal", "clause", "literal", "path_index", "lemma_index"}
+
+
+def _assigned_attributes(tree):
+    """(attribute, line) of every attribute an assignment or augmented
+    assignment targets, inside tuple and list targets too."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = list(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        while targets:
+            target = targets.pop()
+            if isinstance(target, ast.Attribute):
+                out.append((target.attr, target.lineno))
+            elif isinstance(target, (ast.Tuple, ast.List)):
+                targets.extend(target.elts)
+            elif isinstance(target, ast.Starred):
+                targets.append(target.value)
+    return out
+
+
+def test_no_module_assigns_to_a_value_field():
+    assigned = [
+        f"{os.path.basename(path)}:{line}: .{attr}"
+        for path in _python_files(PACKAGE)
+        for attr, line in _assigned_attributes(_parse(path))
+        if attr in VALUE_FIELDS
+    ]
+    assert assigned == []
+
+
+def test_value_field_scan_sees_assignments_and_skips_subscripts():
+    tree = ast.parse("a.id = 1\nb.args += ()\nc.x, (d.goal, *e.name) = f\nnew[g.id] = h\ni.j: int = 0\n")
+    assert sorted(_assigned_attributes(tree)) == [("args", 2), ("goal", 3), ("id", 1), ("j", 5), ("name", 3), ("x", 3)]

@@ -4,7 +4,7 @@
 the length of a `tracing()` block. A rename in the prover breaks only
 `perfbench/run.py --trace 1`, so this checks here that each patched
 attribute exists, is replaced inside the block and is restored after it,
-and that a traced call still counts one unification per candidate.
+and that a traced call still counts one unification per candidate tried.
 """
 
 import os
@@ -46,3 +46,19 @@ def test_each_extension_candidate_is_one_traced_unification(spans):
         assert len(calculus.successors(state, m)) == 3
     unify = tracer.take()["unification.unify"]
     assert (unify["calls"], unify["ok"]) == (3, 3)
+
+
+def test_ground_head_settled_under_sigma_makes_no_traced_unification(spans):
+    """The ground head p(a) repeats the path's p(X), X bound to a, under the
+    state's σ, so its one candidate, ~p(a) of c2, is tried only without
+    regularity."""
+    m = matrix_of("cnf(c0, axiom, p(X) | q(X)).\ncnf(c1, axiom, ~q(a)).\ncnf(c2, axiom, ~p(a) | p(a)).\n")
+    state = calculus.initial_state(m)
+    for clause in (0, 2):  # top -> c0, goal p(X) | q(X) -> c2, goal p(a)
+        state = next(x for x in calculus.successors(state, m) if x.trail[0].clause == clause)
+    tracer = spans.Tracer()
+    with spans.tracing(tracer):
+        assert calculus.successors(state, m) == []
+        assert "unification.unify" not in tracer.take()
+        assert len(calculus.successors(state, m, calculus.CalculusOptions(regularity=False))) == 1
+        assert tracer.take()["unification.unify"]["calls"] == 1

@@ -17,7 +17,7 @@ from mcprover.calculus import (
 )
 from mcprover.clausify import load_matrix, prepare_matrix
 from mcprover.cli import bundled_corpus_dir
-from mcprover.terms import App, Clause, Literal, Matrix, TOP, rename_literal
+from mcprover.terms import App, Clause, FVar, Literal, Matrix, TOP, Var, rename_literal
 from mcprover.unification import literals_equal_under
 from oracles import bindings, unify
 
@@ -54,6 +54,19 @@ def loose_literals(goal):
 
 def ground_cells(goal):
     return [cell for cell in path_cells(goal) if cell[1] is not None]
+
+
+def test_terms_and_actions_are_slotted_values():
+    """They compare and hash by their fields, as when they were frozen."""
+    assert Reduction(0, 1) != LemmaStep(0, 1)
+    assert Extension(0, 1, 2) == Extension(0, 1, 2)
+    assert len({Extension(0, 1, 2), Extension(0, 1, 2), Reduction(0, 1)}) == 2
+    assert hash(Var(3)) == hash((3,))
+    assert hash(Literal(True, "p", ())) == hash((True, "p", ()))
+    assert hash(App("f", (Var(1),))) == hash(("f", (Var(1),)))
+    values = (Var(3), FVar("X"), App("f", (Var(1),)), Literal(True, "p", ()),
+              Reduction(0, 1), Extension(0, 1, 2), LemmaStep(0, 1))
+    assert not any(hasattr(value, "__dict__") for value in values)
 
 
 def test_initial_state_shape(unit_pair_matrix):
@@ -333,6 +346,10 @@ SOLVED_SHARE = (
     "cnf(c0, axiom, r).\ncnf(c1, axiom, ~r | p(Z)).\ncnf(c2, axiom, ~p(X) | q(X)).\n"
     "cnf(c3, axiom, ~q(U) | ~q(Y) | p(Y)).\n"
 )
+# The ground head p(a) repeats the path's unfingerprinted p(X), X bound to a,
+# under the state's σ already: the one comparison under σ settles every
+# successor, before any unification.
+SETTLED_REPEAT = "cnf(c0, axiom, p(X) | q(X)).\ncnf(c1, axiom, ~q(a)).\ncnf(c2, axiom, ~p(a) | p(a)).\n"
 # hard_maze's decoy loop: every head's variable is private and stays unbound.
 MAZE_CHAIN = (
     "cnf(c0, axiom, p).\ncnf(c1, axiom, ~p | d0(V)).\ncnf(c2, axiom, ~d0(X) | d1(Y)).\n"
@@ -347,6 +364,7 @@ MAZE_CHAIN = (
 @example(REDUCTION_TRAP)
 @example(SOLVED_SHARE)
 @example(MAZE_CHAIN)
+@example(SETTLED_REPEAT)
 # a head that is not ground repeats a fingerprinted path literal only under a
 # successor's substitution: p(X) becomes p(a) through c2 (only states reached
 # with regularity on have fingerprinted path literals)
@@ -425,6 +443,46 @@ def test_head_variable_of_a_solved_literal_is_not_private():
     # p(Y) and p(Z) have one image, which an extension into c2 leaves a variable
     assert successors(s, m) == []
     assert [x.trail[0].clause for x in successors(s, m, CalculusOptions(regularity=False))] == [2]
+
+
+def test_ground_head_repeating_a_loose_cell_under_sigma_tries_no_candidate(monkeypatch):
+    m = matrix_of(SETTLED_REPEAT)
+    s = follow(m, 0, 2)  # top -> c0, goal p(X) | q(X) -> c2, goal p(a) below p(X)
+    goal = s.goals[-1]
+    assert goal.clause[0] == Literal(True, "p", (App("a"),))
+    assert loose_literals(goal) == [TOP, Literal(True, "p", (Var(0),))]
+    unified = []
+    unify_args = calculus.unify_args
+    monkeypatch.setattr(calculus, "unify_args", lambda *args: unified.append(args) or unify_args(*args))
+    assert successors(s, m) == []
+    assert unified == []
+    assert shape(reference_successors(s, m, CalculusOptions())) == []
+    assert [x.trail[0] for x in successors(s, m, CalculusOptions(regularity=False))] == [Extension(1, 2, 0)]
+
+
+def test_settled_repeats_match_full_path_scan_on_mcts_states():
+    """The states of an unguided MCTS run on fof_pel4 (the benchmark's flat
+    reward, simulations 8 deep) whose ground head repeats a loose path literal
+    under σ, where one comparison ends the call."""
+    from mcprover.mcts import SearchConfig, run
+    from mcprover.proving import ConnectionGame, RewardConfig
+
+    game = ConnectionGame(load_matrix(f"{bundled_corpus_dir()}/fof_pel4.p"), reward=RewardConfig.with_ratio_weight(0.0))
+    settled = []
+    compute = game.successors
+
+    def recorded(state):
+        head = state.goals[-1].clause[0]
+        if calculus._fingerprint(state.sigma, head) is not None and any(
+                literals_equal_under(state.sigma, head, lit) for lit in loose_literals(state.goals[-1])):
+            settled.append(state)
+        return compute(state)
+
+    game.successors = recorded
+    run(game, SearchConfig(seed=0, max_sim_depth=8), stop=lambda: game.extension_inferences >= 3000)
+    assert len(settled) > 0
+    for state in settled:
+        assert shape(successors(state, game.matrix)) == shape(reference_successors(state, game.matrix, CalculusOptions()))
 
 
 def test_maze_loop_extends_without_comparing(monkeypatch):
