@@ -17,27 +17,29 @@ share them. Goals and states compare and hash by identity.
 
 Extensions read the matrix's extension table, built once per (predicate,
 sign) of a goal literal: the candidates in matrix order, each with its
-clause's variable count, connected literal and remaining literals. Only
+clause's variable count, connected literal, remaining literals, their
+positions and whether each would head its goal privately (below). Only
 clauses with variables are renamed, so every goal opened from a ground
 clause shares its remaining literals.
 
 A goal's path is a cons chain of cells (literal, fingerprint, index, rest,
 older, marks), innermost first, that every goal below shares. index is the
 literal's position from the root; older is the next older cell with the
-literal's sign and predicate, its key. Every _CHECKPOINT-th cell from the
-root is a checkpoint: its marks map each key to the newest cell strictly
+literal's key: its predicate, sign and arity (a literal of another arity
+neither unifies with a head nor repeats it). Every _CHECKPOINT-th cell from
+the root is a checkpoint: its marks map each key to the newest cell strictly
 below it, copied from the previous checkpoint's and updated with the cells
 between; other cells have None. A call walks the chain once, back to its
 newest checkpoint, to find the newest cell of the head's key and of the
 complementary one; their older links then lead, innermost first, to the
-reduction partners and to the cells with the head's key and arity, which
-regularity (no literal repeats one of its path under the substitution)
-compares. So a call walks at most _CHECKPOINT cells, and then only cells of
-those two keys, however deep the path.
+reduction partners and to the cells regularity (no literal repeats one of
+its path under the substitution) compares. So a call walks at most
+_CHECKPOINT cells, and then only cells of those two keys, however deep the
+path.
 
 The substitution only grows along a branch, so a path literal that was
 ground when pushed stays the same ground literal below. A literal is
-fingerprinted only when some literal of its path had its key and arity; its
+fingerprinted only when some literal of its path had its key; its
 cell then keeps that fingerprint (None when it was not ground or too large),
 and one fingerprint comparison settles such a cell for every successor. A
 ground head keeps its image the same way, so a same-key cell that it repeats
@@ -47,15 +49,17 @@ whose variables are all private.
 
 A variable of a goal's head is private when it occurs in no literal of its
 clause outside the goal: not in the one the clause was connected by, nor in a
-solved one. Every binding since the clause was renamed unified σ-images of
-those literals, of path cells and of later renamings, none of which holds a
-private variable, so no binding mentions one. Extending a head that has
-variables, all private, into a freshly renamed literal thus binds only private
-and fresh variables, to terms built from them alone: every cell keeps its
-image, which holds neither, so the head can repeat a cell only when its image
-is ground, and only then are the cells of its key listed. Reductions are
-still compared: unifying with a partner cell can bind a same-key cell's
-variable to the head's.
+solved one. The extension table settles this for each remaining literal of
+a candidate from the clause alone, and each goal carries the verdicts of its
+remaining literals. Every binding since the clause was renamed unified
+σ-images of those literals, of path cells and of later renamings, none of
+which holds a private variable, so no binding mentions one. Extending a head
+that has variables, all private, into a freshly renamed literal thus binds
+only private and fresh variables, to terms built from them alone: every cell
+keeps its image, which holds neither, so the head can repeat a cell only when
+its image is ground, and only then are the cells of its key listed.
+Reductions are still compared: unifying with a partner cell can bind a
+same-key cell's variable to the head's.
 """
 
 from __future__ import annotations
@@ -112,10 +116,12 @@ class Goal:
     clause_index / literal_indices record where the remaining literals sit in
     the input matrix (clause_index -1 denotes the synthetic start goal); the
     guidance model and training extraction key statistics by those positions.
-    path is the chain of cells (literal, fingerprint, index, rest, older,
-    marks), innermost first and None when empty (module docstring);
-    fingerprint is the literal's _fingerprint when it was pushed with one,
-    else None.
+    private[k] is whether the k-th remaining literal, once it is the head,
+    has variables and all of them private (module docstring); the start
+    goal's is False. path is the chain of cells (literal, fingerprint, index,
+    rest, older, marks), innermost first and None when empty (module
+    docstring); fingerprint is the literal's _fingerprint when it was pushed
+    with one, else None.
     """
 
     clause: tuple
@@ -123,6 +129,7 @@ class Goal:
     lemmas: tuple
     clause_index: int
     literal_indices: tuple
+    private: tuple
 
     @property
     def depth(self) -> int:  # extension steps below the start goal: the innermost cell's index
@@ -168,6 +175,7 @@ def initial_state(matrix: Matrix) -> ProverState:
         lemmas=(),
         clause_index=-1,
         literal_indices=(0,),
+        private=(False,),
     )
     return ProverState(
         goals=(start,),
@@ -263,13 +271,11 @@ def _repeats_if_ground(sigma: Substitution, head_args: tuple, cell: tuple) -> bo
     return _repeats(sigma, head_args, [c[0].args for c in _same_cells(cell)])
 
 
-def _same_cells(cell: tuple) -> list:
-    """`cell` and the older cells of its key and arity, innermost first."""
-    arity = len(cell[0].args)
+def _same_cells(cell: tuple | None) -> list:
+    """`cell` and the older cells of its key, innermost first."""
     out = []
     while cell is not None:
-        if len(cell[0].args) == arity:
-            out.append(cell)
+        out.append(cell)
         cell = cell[4]
     return out
 
@@ -282,27 +288,13 @@ def _marks(cell: tuple | None) -> dict:
     newer = {}
     while True:
         lit = cell[0]
-        newer.setdefault((lit.predicate, lit.positive), cell)
+        newer.setdefault((lit.predicate, lit.positive, len(lit.args)), cell)
         if cell[5] is not None:
             break
         cell = cell[3]
     marks = cell[5].copy()
     marks.update(newer)
     return marks
-
-
-def _private_head(matrix: Matrix, goal: Goal) -> bool:
-    """Whether the goal's head has a variable and all of them are private,
-    entered in the matrix's table keyed by clause and remaining positions."""
-    private = False
-    if goal.clause_index >= 0:
-        literals = matrix.clauses[goal.clause_index].literals
-        variables = [{t.id for a in lit.args for t in subterms(a) if type(t) is Var} for lit in literals]
-        head = variables[goal.literal_indices[0]]
-        private = bool(head) and not any(
-            head & variables[j] for j in range(len(literals)) if j not in goal.literal_indices)
-    matrix.private_heads[goal.clause_index, goal.literal_indices] = private
-    return private
 
 
 def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DEFAULT_OPTIONS):
@@ -320,6 +312,7 @@ def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DE
     below = state.goals[:-1]
     head_pred = head.predicate
     head_pos = head.positive
+    arity = len(head.args)
     sigma = state.sigma
     out = []
     # the goals left when a lemma step or reduction closes the head, and those
@@ -328,8 +321,9 @@ def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DE
     closed = extended = below
     if rest:
         kept = goal.literal_indices[1:]
-        closed = below + (Goal(rest, goal.path, goal.lemmas, goal.clause_index, kept),)
-        extended = below + (Goal(rest, goal.path, goal.lemmas + (head,), goal.clause_index, kept),)
+        kept_private = goal.private[1:]
+        closed = below + (Goal(rest, goal.path, goal.lemmas, goal.clause_index, kept, kept_private),)
+        extended = below + (Goal(rest, goal.path, goal.lemmas + (head,), goal.clause_index, kept, kept_private),)
 
     if options.lemmas:
         for k, lemma in enumerate(goal.lemmas):
@@ -352,9 +346,9 @@ def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DE
             lit = cell[0]
             if lit.predicate == head_pred:
                 if lit.positive == head_pos:
-                    if newest is None:
+                    if newest is None and len(lit.args) == arity:
                         newest = cell
-                elif partner is None:
+                elif partner is None and len(lit.args) == arity:
                     partner = cell
             if cell[5] is not None:
                 break
@@ -362,17 +356,11 @@ def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DE
         marks = cell[5]
         if marks:  # the root's are empty
             if newest is None:
-                newest = marks.get((head_pred, head_pos))
+                newest = marks.get((head_pred, head_pos, arity))
             if partner is None:
-                partner = marks.get((head_pred, not head_pos))
-    partners = []
-    while partner is not None:
-        partners.append(partner)
-        partner = partner[4]
-    arity = len(head.args)
+                partner = marks.get((head_pred, not head_pos, arity))
+    partners = _same_cells(partner)
     same = newest if options.regularity else None
-    while same is not None and len(same[0].args) != arity:
-        same = same[4]
 
     # a ground head keeps its image under every successor's σ, which extends
     # σ: a cell it repeats under σ ends the call, and only cells without a
@@ -388,9 +376,7 @@ def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DE
                 return out
             check = [c[0].args for c in cells if c[1] is None]
         else:  # a head with a private variable has no fingerprint
-            private = matrix.private_heads.get((goal.clause_index, goal.literal_indices))
-            if private is None:
-                private = _private_head(matrix, goal)
+            private = goal.private[0]
             if partners or not private:  # a private head's extensions find the cells they compare
                 check = [c[0].args for c in _same_cells(same)]
 
@@ -412,7 +398,7 @@ def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DE
     if private:
         compare, check = _repeats_if_ground, same
     offset = state.fresh_var
-    for ci, li, var_count, lit, others, indices in _extension_entries(matrix, head_pred, head_pos):
+    for ci, li, var_count, lit, others, indices, privacy in _extension_entries(matrix, head_pred, head_pos):
         if var_count:
             lit = rename_literal(lit, offset)
         sigma2 = unify_args(sigma, head.args, lit.args)  # the index matched predicate and sign
@@ -424,7 +410,7 @@ def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DE
         if others:
             if var_count:
                 others = tuple([rename_literal(other, offset) for other in others])
-            new_goals = extended + (Goal(others, path, goal.lemmas, ci, indices),)
+            new_goals = extended + (Goal(others, path, goal.lemmas, ci, indices, privacy),)
         out.append(ProverState(new_goals, sigma2, offset + var_count, state.extensions + 1,
                                state.reductions, (Extension(gi, ci, li), state.trail)))
     return out
@@ -433,7 +419,10 @@ def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DE
 def _extension_entries(matrix: Matrix, predicate: str, positive: bool) -> tuple:
     """The extension table's entries for a goal literal with this predicate
     and sign (module docstring): (clause index, literal index, var_count,
-    connected literal, remaining literals, remaining indices), unrenamed.
+    connected literal, remaining literals, remaining indices, privacy),
+    unrenamed. privacy[k] is true when remaining literal k has variables and
+    none of them occurs in the connected literal or in a remaining literal
+    before it, which is solved by the time k heads the goal.
     Only keys of the matrix's index are entered, so the table stays within
     the index's size."""
     entries = matrix.extension_table.get((predicate, positive))
@@ -443,7 +432,14 @@ def _extension_entries(matrix: Matrix, predicate: str, positive: bool) -> tuple:
             clause = matrix.clauses[ci]
             indices = tuple([j for j in range(len(clause.literals)) if j != li])
             others = tuple([clause.literals[j] for j in indices])
-            entries.append((ci, li, clause.var_count, clause.literals[li], others, indices))
+            private = [False] * len(indices)
+            if clause.var_count:
+                variables = [{t.id for a in lit.args for t in subterms(a) if type(t) is Var} for lit in clause.literals]
+                seen = variables[li]
+                for k, j in enumerate(indices):
+                    private[k] = bool(variables[j]) and not variables[j] & seen
+                    seen = seen | variables[j]
+            entries.append((ci, li, clause.var_count, clause.literals[li], others, indices, tuple(private)))
         entries = tuple(entries)
         if entries:
             matrix.extension_table[predicate, positive] = entries
@@ -459,7 +455,7 @@ def has_applicable_extension(state: ProverState, matrix: Matrix) -> bool:
     """Whether some extension unifies for the designated goal, ignoring any
     depth bound. Used to distinguish exhausted spaces from bounded ones."""
     head = state.goals[-1].clause[0]
-    for _, _, var_count, lit, _, _ in _extension_entries(matrix, head.predicate, head.positive):
+    for _, _, var_count, lit, _, _, _ in _extension_entries(matrix, head.predicate, head.positive):
         if var_count:
             lit = rename_literal(lit, state.fresh_var)
         if unify_args(state.sigma, head.args, lit.args) is not None:

@@ -80,7 +80,10 @@ def subgoal_ratio(open_count: int, opened_total: int, raw: bool = False) -> floa
 
 
 def certainty(x: float, c: float, d: float) -> float:
-    return 1.0 - c / (x**d + 1.0)
+    try:
+        return 1.0 - c / (x**d + 1.0)
+    except OverflowError:  # x**d past the float range: the limit, c / inf = 0
+        return 1.0
 
 
 def literal_provability(p: int, n: int, c: float = 1.0, d: float = 2.0) -> float:
@@ -100,19 +103,13 @@ def combine(values, combiner: str) -> float:
     if not values:
         return 1.0
     if combiner == "product":
-        out = 1.0
-        for v in values:
-            out *= v
-        return out
+        return math.prod(values, start=1.0)
     if combiner == "min":
         return min(values)
     if combiner == "arithmetic":
         return sum(values) / len(values)
     if combiner == "geometric":
-        out = 1.0
-        for v in values:
-            out *= v
-        return out ** (1.0 / len(values))
+        return math.prod(values, start=1.0) ** (1.0 / len(values))
     # harmonic; the limit value for any zero entry is zero
     if any(v == 0.0 for v in values):
         return 0.0

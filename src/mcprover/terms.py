@@ -157,8 +157,6 @@ class Matrix:
     clauses: tuple = ()
     index: dict = field(default_factory=dict, repr=False)
     digest: str = ""
-    # (clause index, remaining literal indices) -> calculus's lazy privacy verdict
-    private_heads: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # (predicate, polarity-of-a-goal-literal) -> calculus's lazily built extension entries
     extension_table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 

@@ -78,10 +78,10 @@ class TspInstance:
         return cls(tuple(tuple(row) for row in table))
 
     @classmethod
-    def random(cls, n: int, seed: int, low: int = 1, high: int = 20) -> "TspInstance":
+    def random(cls, n: int, seed: int) -> "TspInstance":
         rng = random.Random(seed)
         edges = [
-            (i, j, rng.randint(low, high))
+            (i, j, rng.randint(1, 20))
             for i in range(1, n + 1)
             for j in range(i + 1, n + 1)
         ]

@@ -16,7 +16,9 @@ tests feed it:
 - `annotated_corpus`, the bundled problems with the `% Status` and
   `% DepthBound` lines the corpus tests check outcomes against;
 - `reference_mcts_step`, the MCTS iteration that steps through every node of
-  a run of forced nodes, which `mcts.mcts_step` jumps over.
+  a run of forced nodes, which `mcts.mcts_step` jumps over;
+- `private_head`, the set-based privacy of a goal's head that the calculus's
+  extension table tabulates per remaining literal.
 """
 
 import random
@@ -28,7 +30,7 @@ from mcprover.checker import ProofCertificate
 from mcprover.cli import bundled_corpus_dir, load_corpus
 from mcprover.formulas import Binary, Formula, Not, Quant, unwind
 from mcprover.mcts import MctsTree, SearchConfig, _draw, _leaf, cp_schedule, simulate, uct_key
-from mcprover.terms import App, Clause, Literal, Var, clause_to_str, literal_to_str
+from mcprover.terms import App, Clause, Literal, Matrix, Var, clause_to_str, literal_to_str, subterms
 from mcprover.trainstore import LiteralKey, clause_hash, literal_hash
 from mcprover.tptp import CnfDecl, Problem
 from mcprover.tsp import TspInstance
@@ -85,6 +87,18 @@ def resolve_literal(sigma: Substitution, lit: Literal) -> Literal:
 def terms_equal_under(sigma: Substitution, a, b) -> bool:
     """Structural equality of two terms modulo the substitution."""
     return pairs_equal_under(sigma, [(a, b)])
+
+
+def private_head(matrix: Matrix, clause_index: int, literal_indices: tuple) -> bool:
+    """Whether the head of a goal of this clause with these remaining literal
+    positions has a variable and all of them private: in no literal of its
+    clause outside the goal (the start goal, clause -1, has none)."""
+    if clause_index < 0:
+        return False
+    literals = matrix.clauses[clause_index].literals
+    variables = [{t.id for a in lit.args for t in subterms(a) if type(t) is Var} for lit in literals]
+    head = variables[literal_indices[0]]
+    return bool(head) and not any(head & variables[j] for j in range(len(literals)) if j not in literal_indices)
 
 
 # --- the MCTS iteration without jumps ----------------------------------------

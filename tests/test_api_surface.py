@@ -13,7 +13,11 @@ attribute named like one of their fields.
 """
 
 import ast
+import dataclasses
 import os
+
+from mcprover.calculus import Extension, LemmaStep, Reduction
+from mcprover.terms import App, FVar, Literal, Var
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "mcprover")
@@ -99,10 +103,8 @@ def test_no_unused_imports():
     assert unused == []
 
 
-# The fields of terms.Var, FVar, App and Literal and of calculus.Reduction,
-# Extension and LemmaStep.
-VALUE_FIELDS = {"id", "name", "functor", "args", "positive", "predicate",
-                "goal", "clause", "literal", "path_index", "lemma_index"}
+VALUE_FIELDS = {field.name for cls in (Var, FVar, App, Literal, Reduction, Extension, LemmaStep)
+                for field in dataclasses.fields(cls)}
 
 
 def _assigned_attributes(tree):

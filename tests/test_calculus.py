@@ -19,7 +19,7 @@ from mcprover.clausify import load_matrix, prepare_matrix
 from mcprover.cli import bundled_corpus_dir
 from mcprover.terms import App, Clause, FVar, Literal, Matrix, TOP, Var, rename_literal
 from mcprover.unification import literals_equal_under
-from oracles import bindings, unify
+from oracles import bindings, private_head, unify
 
 
 def all_descendants(state, matrix, options=CalculusOptions(), limit=2000):
@@ -249,10 +249,15 @@ def reference_successors(state, matrix, options):
     goal = state.goals[gi]
     head = goal.clause[0]
     closed = extended = state.goals[:-1]
+
+    def privacy(ci, indices):
+        return tuple(private_head(matrix, ci, indices[k:]) for k in range(len(indices)))
+
     if len(goal.clause) > 1:
         kept = goal.literal_indices[1:]
-        closed += (Goal(goal.clause[1:], goal.path, goal.lemmas, goal.clause_index, kept),)
-        extended += (Goal(goal.clause[1:], goal.path, goal.lemmas + (head,), goal.clause_index, kept),)
+        private = privacy(goal.clause_index, kept)
+        closed += (Goal(goal.clause[1:], goal.path, goal.lemmas, goal.clause_index, kept, private),)
+        extended += (Goal(goal.clause[1:], goal.path, goal.lemmas + (head,), goal.clause_index, kept, private),)
     out = []
     if options.lemmas:
         for k, lemma in enumerate(goal.lemmas):
@@ -280,7 +285,7 @@ def reference_successors(state, matrix, options):
                 goals = extended
                 if indices:
                     renamed = tuple(rename_literal(clause.literals[j], state.fresh_var) for j in indices)
-                    goals += (Goal(renamed, path, goal.lemmas, ci, indices),)
+                    goals += (Goal(renamed, path, goal.lemmas, ci, indices, privacy(ci, indices)),)
                 out.append(ProverState(goals, sigma, state.fresh_var + clause.var_count, state.extensions + 1,
                                        state.reductions, (Extension(gi, ci, li), state.trail)))
     if not options.regularity:
@@ -302,7 +307,8 @@ def shape(states):
             succ.extensions,
             succ.reductions,
             bindings(succ.sigma),
-            [(g.clause, path_literals(g), g.lemmas, g.depth, g.clause_index, g.literal_indices) for g in succ.goals],
+            [(g.clause, path_literals(g), g.lemmas, g.depth, g.clause_index, g.literal_indices, g.private)
+             for g in succ.goals],
         )
         for succ in states
     ]
@@ -350,6 +356,13 @@ SOLVED_SHARE = (
 # under the state's σ already: the one comparison under σ settles every
 # successor, before any unification.
 SETTLED_REPEAT = "cnf(c0, axiom, p(X) | q(X)).\ncnf(c1, axiom, ~q(a)).\ncnf(c2, axiom, ~p(a) | p(a)).\n"
+# p/1 and p/2 share one path: heads of either arity sit above cells of the
+# other arity with both signs, which they neither reduce against nor repeat,
+# and p(Z,Z) of c3 repeats the p(X,Y) below it once both are bound to p(a,a).
+ARITY_OVERLOAD = (
+    "cnf(c0, axiom, p(a)).\ncnf(c1, axiom, ~p(a) | ~p(c)).\ncnf(c2, axiom, p(c) | p(X,Y)).\n"
+    "cnf(c3, axiom, ~p(a,Z) | p(Z,Z) | p(Z)).\ncnf(c4, axiom, ~p(a,a)).\n"
+)
 # hard_maze's decoy loop: every head's variable is private and stays unbound.
 MAZE_CHAIN = (
     "cnf(c0, axiom, p).\ncnf(c1, axiom, ~p | d0(V)).\ncnf(c2, axiom, ~d0(X) | d1(Y)).\n"
@@ -365,6 +378,7 @@ MAZE_CHAIN = (
 @example(SOLVED_SHARE)
 @example(MAZE_CHAIN)
 @example(SETTLED_REPEAT)
+@example(ARITY_OVERLOAD)
 # a head that is not ground repeats a fingerprinted path literal only under a
 # successor's substitution: p(X) becomes p(a) through c2 (only states reached
 # with regularity on have fingerprinted path literals)
@@ -422,7 +436,8 @@ def follow(m, *steps):
 def test_private_head_grounded_into_a_path_literal_is_pruned():
     m = matrix_of(GROUNDED_PRIVATE)
     s = follow(m, 0, 1)  # top -> p(a) -> c1, goal p(Y)
-    assert calculus._private_head(m, s.goals[-1])
+    goal = s.goals[-1]
+    assert goal.private[0] is private_head(m, goal.clause_index, goal.literal_indices) is True
     assert successors(s, m) == []
     assert [x.trail[0].clause for x in successors(s, m, CalculusOptions(regularity=False))] == [1, 2]
 
@@ -430,7 +445,8 @@ def test_private_head_grounded_into_a_path_literal_is_pruned():
 def test_reduction_from_a_private_head_is_compared():
     m = matrix_of(REDUCTION_TRAP)
     s = follow(m, 0, 1, 2, 3, 5, 4)  # goal p(B) below p(Z), s(X), ~p(V) and t(W)
-    assert calculus._private_head(m, s.goals[-1])
+    goal = s.goals[-1]
+    assert goal.private[0] is private_head(m, goal.clause_index, goal.literal_indices) is True
     assert [type(x.trail[0]) for x in successors(s, m)] == [Extension, Extension]
     unpruned = successors(s, m, CalculusOptions(regularity=False))
     assert [type(x.trail[0]) for x in unpruned] == [Reduction, Extension, Extension]
@@ -439,7 +455,8 @@ def test_reduction_from_a_private_head_is_compared():
 def test_head_variable_of_a_solved_literal_is_not_private():
     m = matrix_of(SOLVED_SHARE)
     s = follow(m, 0, 1, 2, 3, None)  # goal p(Y) after reducing ~q(Y) against q(X)
-    assert not calculus._private_head(m, s.goals[-1])
+    goal = s.goals[-1]
+    assert goal.private[0] is private_head(m, goal.clause_index, goal.literal_indices) is False
     # p(Y) and p(Z) have one image, which an extension into c2 leaves a variable
     assert successors(s, m) == []
     assert [x.trail[0].clause for x in successors(s, m, CalculusOptions(regularity=False))] == [2]

@@ -177,6 +177,19 @@ def test_prove_formula_nested_deep(capsys, tmp_path, shape, engine):
     assert sys.getrecursionlimit() == limit
 
 
+def test_certainty_power_past_the_float_range_ends_by_outcome(capsys, tmp_path):
+    """A literal seen 54 times and --cert-d 200 make 54**200, past the float
+    range: the run still ends in a report and an exit code by outcome."""
+    model = tmp_path / "model.txt"
+    code, _, _ = run_cli(capsys, "train", bundled_corpus_dir(), "--model-out", str(model), "--max-inferences", "20000")
+    assert code == 0
+    assert max(int(p) + int(n) for _, _, p, n in map(str.split, model.read_text().splitlines())) == 54
+    code, out, err = run_cli(capsys, "prove", corpus_file("hard_maze14.p"), "--engine", "mcts", "--model", str(model),
+                             "--reward-ratio-weight", "0", "--cert-d", "200", "--max-inferences", "3000")
+    assert code == (0 if "checker    : accepted" in out else 1)
+    assert "outcome    : " in out and "Traceback" not in err
+
+
 def test_prove_mcts_reports_are_deterministic(capsys):
     args = ("prove", corpus_file("fo_trans.p"), "--engine", "mcts", "--seed", "7")
     code_a, out_a, _ = run_cli(capsys, *args)

@@ -2,6 +2,8 @@
 cnf problems: every proof replays, and the engines agree on provability
 where either one settles it."""
 
+from itertools import permutations
+
 from hypothesis import example, given, settings
 
 from conftest import matrix_of
@@ -58,3 +60,28 @@ def test_cut_drops_the_only_proof():
     plain, cut = deepening(m, cut=False), deepening(m, cut=True)
     assert isinstance(plain, Proof) and plain.depth == 1
     assert isinstance(cut, Saturated) and cut.reason == "exhausted under cut"
+
+
+def cut_variants():
+    """`p(X) | q(X)` with units over two or three constants, in every order:
+    one sign's units, ~p or ~q, cover every constant and the other's one."""
+    for constants in ("ab", "abc"):
+        for every, one in (("p", "q"), ("q", "p")):
+            for k in constants:
+                units = [f"~{every}({c})" for c in constants] + [f"~{one}({k})"]
+                for order in permutations(units):
+                    yield "cnf(c0, axiom, p(X) | q(X)).\n" + "".join(
+                        f"cnf(c{i}, axiom, {unit}).\n" for i, unit in enumerate(order, 1))
+
+
+def test_cut_proofs_imply_plain_proofs_on_enumerated_variants():
+    """The cut only drops alternatives: wherever it proves, the full search
+    proves at no greater depth; and some variant loses its proof to it."""
+    lost = 0
+    for problem in cut_variants():
+        m = matrix_of(problem)
+        plain, cut = deepening(m, cut=False), deepening(m, cut=True)
+        if isinstance(cut, Proof):
+            assert isinstance(plain, Proof) and plain.depth <= cut.depth, problem
+        lost += isinstance(plain, Proof) and isinstance(cut, Saturated)
+    assert lost > 0

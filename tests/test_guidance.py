@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -60,6 +61,16 @@ def test_certainty_monotone_and_bounded(x, c, d):
     assert certainty(x + 1, c, d) >= value
 
 
+def test_certainty_past_the_float_range_is_its_limit():
+    """A power too large for a float gives the limit c / inf = 0, where the
+    plain formula raises OverflowError; finite powers are untouched."""
+    with pytest.raises(OverflowError):
+        54 ** 200.0
+    assert certainty(54, 1.0, 200.0) == 1.0
+    assert literal_provability(3, 1, 1.0, 1e308) == 0.75
+    assert certainty(54, 0.5, 170.0) == 1.0 - 0.5 / (54 ** 170.0 + 1.0)
+
+
 # --- combiners ----------------------------------------------------------------
 
 def test_combiner_examples():
@@ -70,6 +81,19 @@ def test_combiner_examples():
     assert abs(combine(values, "harmonic") - 2.0 / 3.0) < 1e-9
     assert combine(values, "product") == 0.5
     assert combine([], "min") == 1.0
+
+
+def test_product_combiners_match_the_sequential_product():
+    """`math.prod` multiplies left to right from 1.0, as a plain loop does, so
+    the product and geometric combiners equal that loop bit for bit."""
+    rng = random.Random(0)
+    for _ in range(200_000):
+        values = [rng.random() for _ in range(rng.randint(1, 8))]
+        product = 1.0
+        for v in values:
+            product *= v
+        assert combine(values, "product") == product
+        assert combine(values, "geometric") == product ** (1.0 / len(values))
 
 
 def test_zero_clause_value_propagates():
