@@ -15,18 +15,37 @@ applied or an extension's opened subgoals all closed (the clause literal it
 connected to shares that success), and as a failure when every alternative
 was exhausted without a closure.
 
-One table of successor lists serves every round of a search, so that a
-deeper round does not recompute the expansions an earlier round made. A
-state's list enters the table when its designated goal lies below the
-round's depth bound, and a deeper bound gives the same list for such a goal.
-It enters only when its parent's list is kept (or it is the root), so every
-entry stays reachable through kept lists in every later round and no slot
-holds a dead entry; a list computed afresh holds new states, which the table
-does not know. A list is kept with its extension count, and a reused list is
-charged that count and budget-checked like a computed one, so every outcome,
-count and event is unchanged. On branching problems the states below the
-bound multiply with every round, so the table holds at most
-_KEPT_EXPANSIONS lists and evicts none: each round walks the top of the
+A round resumes where the round before, of bound d, first probed a state
+at its bound and found an extension that unifies (`has_applicable_extension`;
+a round that finds none saturates), instead of replaying from the root. Up to that
+expansion the deeper round does exactly what round d did: every state met
+before it has depth at most d, below the new bound, and each state at depth
+d expanded before it has no extension that unifies, so its list under the
+deeper bound is the list it had under d. The deeper round would therefore
+meet equal states with equal lists, charges, closures, cut commits and
+training events. So round d records, at that expansion and before its
+charge, each choice point with its mutable fields (how many successors it
+has tried, its action and its closure flags), the round's charge and event
+count so far, the state and its parent's kept flag; the next round restores
+them, is charged that sum, and expands the state under its own bound. The
+budget checks of the skipped expansions all fall at or below that sum, so
+when the sum passes the inference budget the round replays from the root
+instead, and stops where the first of them fires; otherwise none of them
+would fire, and every outcome, count and event is unchanged. The wall-clock
+deadline is checked once, at the resumed expansion.
+
+One table of successor lists serves every round of a search, so that the
+part of a round past its resume point does not recompute the expansions an
+earlier round made. A state's list enters the table when its designated
+goal lies below the round's depth bound, and a deeper bound gives the same
+list for such a goal. It enters only when its parent's list is kept (or it
+is the root), so every entry stays reachable through kept lists in every
+later round and no slot holds a dead entry; a list computed afresh holds new
+states, which the table does not know. A list is kept with its extension
+count, and a reused list is charged that count and budget-checked like a
+computed one, so no outcome, count or event changes. On branching problems
+the states below the bound multiply with every round, so the table holds at
+most _KEPT_EXPANSIONS lists and evicts none: each round walks the top of the
 tree first, so the lists kept first are the ones every later round asks
 for, and FIFO eviction would throw out exactly those on any search larger
 than the cap.
@@ -42,7 +61,6 @@ from __future__ import annotations
 
 import gc
 import time
-from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 from .calculus import (
@@ -133,9 +151,10 @@ class _OutOfBudget(Exception):
 
 @dataclass(slots=True, eq=False)
 class _ChoicePoint:
-    """An expanded state: its untried successors and how far its head is proved."""
+    """An expanded state: its successors, how many are tried and how far its head is proved."""
 
-    untried: Iterator
+    succs: list
+    index: int  # successors tried so far: the next one is succs[index]
     goal: Goal
     target: int  # goal-stack height once the head is closed: the goals below plus its remainder
     kept: bool  # its successor list is kept for later rounds
@@ -146,7 +165,8 @@ class _ChoicePoint:
 
 class _DepthSearch:
     """The depth-bounded exhaustive searches of one deepening run, one round
-    per `run` call, and the successor lists they keep for each other."""
+    per `run` call, the successor lists they keep for each other, and where
+    the next round resumes."""
 
     def __init__(self, matrix, options, deadline, stats, key_table):
         self.matrix = matrix
@@ -155,21 +175,28 @@ class _DepthSearch:
         self.stats = stats
         self.keys = key_table
         self.kept: dict = {}  # state -> (successor list, extension count), for every round
+        # where the round's bound probe first held, None until it does: (each
+        # choice point with its mutable fields, the round's charge, its event
+        # count, the state, its parent's kept flag), taken before that
+        # state's charge
+        self.resume: tuple | None = None
+        self.events: list = []
 
     def run(self, root: ProverState, bound: int):
         """The first closed state within `bound`, or None once every choice is spent."""
         self.calc = replace(self.options.calculus, depth_bound=bound)
-        self.bound_hit = False
-        self.events: list = []
-        stack = [self._expand(root, True)]
+        self.spent_before = self.stats.extension_inferences
+        stack = self._first_stack(root)
         while stack:
             top = stack[-1]
-            state = next(top.untried, None)
-            if state is None:
+            tried = top.index
+            if tried == len(top.succs):
                 stack.pop()
                 if self.keys is not None and not top.closed_any:
                     self._emit(top.goal.clause_index, top.goal.literal_indices[0], False)
                 continue
+            state = top.succs[tried]
+            top.index = tried + 1
             top.action = state.trail[0]
             height = len(state.goals)
             # `state` closes the records of target `height`, innermost first, up
@@ -189,18 +216,44 @@ class _DepthSearch:
                 return state
             if lowest is not None and self.options.cut:
                 # commit to this closure of the outermost closed literal
-                stack[lowest].untried = iter(())
+                point = stack[lowest]
+                point.index = len(point.succs)
                 del stack[lowest + 1:]
-            stack.append(self._expand(state, top.kept))
+            stack.append(self._expand(state, top.kept, stack))
         return None
 
-    def _expand(self, state: ProverState, parent_kept: bool) -> _ChoicePoint:
+    def _first_stack(self, root: ProverState) -> list:
+        """The round's stack after its first expansion: the last round's where
+        its bound probe first held, charged what that round had spent to get
+        there (module docstring), or else the root's: in the first round, or
+        when that charge would pass the inference budget."""
+        resume, self.resume = self.resume, None
+        cap = self.options.inference_budget
+        if resume is None or cap is not None and self.spent_before + resume[1] > cap:
+            self.events = []
+            return [self._expand(root, True, [])]
+        points, charge, events, state, parent_kept = resume
+        stack = []
+        for point, point.index, point.action, point.closed_any, point.head_emitted in points:
+            stack.append(point)  # with its fields as they were then
+        del self.events[events:]
+        self.stats.extension_inferences += charge
+        stack.append(self._expand(state, parent_kept, stack))
+        return stack
+
+    def _expand(self, state: ProverState, parent_kept: bool, stack: list) -> _ChoicePoint:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _OutOfBudget("time")
         cap = self.options.inference_budget
         if cap is not None and self.stats.extension_inferences > cap:
             raise _OutOfBudget("inferences")
         goal = state.goals[-1]
+        bound = self.calc.depth_bound
+        if self.resume is None and goal.depth >= bound and has_applicable_extension(state, self.matrix):
+            # the next round resumes here (module docstring)
+            points = [(p, p.index, p.action, p.closed_any, p.head_emitted) for p in stack]
+            spent = self.stats.extension_inferences - self.spent_before
+            self.resume = (points, spent, len(self.events), state, parent_kept)
         # only a state whose parent's list is kept can have an entry; it gets
         # one when expanded below the bound while there is room, and keeps it
         entry = self.kept.get(state) if parent_kept else None
@@ -208,13 +261,11 @@ class _DepthSearch:
         if not kept:
             succs = successors(state, self.matrix, self.calc)
             entry = (succs, extension_count(succs))
-            if parent_kept and goal.depth < self.calc.depth_bound and len(self.kept) < _KEPT_EXPANSIONS:
+            if parent_kept and goal.depth < bound and len(self.kept) < _KEPT_EXPANSIONS:
                 self.kept[state] = entry
                 kept = True
         self.stats.extension_inferences += entry[1]
-        if not self.bound_hit and goal.depth >= self.calc.depth_bound:
-            self.bound_hit = has_applicable_extension(state, self.matrix)
-        return _ChoicePoint(iter(entry[0]), goal, len(state.goals) - 1 + (len(goal.clause) > 1), kept)
+        return _ChoicePoint(entry[0], 0, goal, len(state.goals) - 1 + (len(goal.clause) > 1), kept)
 
     def _closed(self, point: _ChoicePoint):
         """Record that the point's head literal closed; an extension's later
@@ -264,7 +315,7 @@ def _deepen(search: _DepthSearch, matrix: Matrix, options: DeepeningOptions, sta
         if final is not None:
             proof = Proof(certificate_for(final, matrix), final, depth)
             return DeepeningResult(proof, stats, search.events)
-        if not search.bound_hit:
+        if search.resume is None:  # no state at the bound had an extension
             reason = "" if not options.cut else "exhausted under cut"
             return DeepeningResult(Saturated(depth, complete=not options.cut, reason=reason), stats)
         if options.max_depth is not None and depth >= options.max_depth:

@@ -33,18 +33,33 @@ def all_descendants(state, matrix, options=CalculusOptions(), limit=2000):
     return seen
 
 
-def path_cells(goal):
-    """The goal's path chain flattened root-first into (literal, fingerprint, index) cells."""
-    cells = []
+def flat_path(goal, flat):
+    """(innermost cell, (literal, fingerprint, index) cells, literals) of the
+    goal's path chain, flattened root first. Goals share the cells of their
+    paths, so callers that flatten many goals pass one dict as `flat`: it maps
+    the id of each goal path flattened to that triple, and holds the cell, so
+    that no id is reused while the dict lives; a walk stops at the first such
+    cell."""
+    pending = []
     cell = goal.path
-    while cell is not None:
-        cells.append(cell[:3])
+    while cell is not None and id(cell) not in flat:
+        pending.append(cell)
         cell = cell[3]
-    return tuple(reversed(cells))
+    entry = (None, (), ()) if cell is None else flat[id(cell)]
+    if pending:
+        pending.reverse()
+        cells = entry[1] + tuple([cell[:3] for cell in pending])
+        entry = flat[id(goal.path)] = (goal.path, cells, entry[2] + tuple([cell[0] for cell in pending]))
+    return entry
 
 
-def path_literals(goal):
-    return tuple(lit for lit, _, _ in path_cells(goal))
+def path_cells(goal, flat=None):
+    """The goal's path chain flattened root-first into (literal, fingerprint, index) cells."""
+    return flat_path(goal, {} if flat is None else flat)[1]
+
+
+def path_literals(goal, flat=None):
+    return flat_path(goal, {} if flat is None else flat)[2]
 
 
 def loose_literals(goal):
@@ -290,16 +305,19 @@ def reference_successors(state, matrix, options):
                                        state.reductions, (Extension(gi, ci, li), state.trail)))
     if not options.regularity:
         return out
+    path = path_literals(goal)
     return [
         succ
         for succ in out
         if isinstance(succ.trail[0], LemmaStep)
-        or not any(literals_equal_under(succ.sigma, head, lit) for lit in path_literals(goal))
+        or not any(literals_equal_under(succ.sigma, head, lit) for lit in path)
     ]
 
 
-def shape(states):
-    """What a successor list determines, without the regularity index."""
+def shape(states, flat=None):
+    """What a successor list determines, without the regularity index; `flat`
+    as `flat_path` takes it."""
+    flat = {} if flat is None else flat
     return [
         (
             succ.trail[0],
@@ -307,7 +325,7 @@ def shape(states):
             succ.extensions,
             succ.reductions,
             bindings(succ.sigma),
-            [(g.clause, path_literals(g), g.lemmas, g.depth, g.clause_index, g.literal_indices, g.private)
+            [(g.clause, path_literals(g, flat), g.lemmas, g.depth, g.clause_index, g.literal_indices, g.private)
              for g in succ.goals],
         )
         for succ in states
@@ -394,13 +412,15 @@ def test_regularity_matches_full_path_scan(explore_regular, problem):
     m = matrix_of(problem)
     regular = CalculusOptions(regularity=True)
     explore = regular if explore_regular else CalculusOptions(regularity=False)
+    flat = {}
     for state in all_descendants(initial_state(m), m, explore, limit=150):
         for goal in state.goals:
-            assert [index for _, _, index in path_cells(goal)] == list(range(len(path_cells(goal))))
+            cells = path_cells(goal, flat)
+            assert [index for _, _, index in cells] == list(range(len(cells)))
         if state.is_closed:
             continue
         for options in (regular, CalculusOptions(regularity=False)):
-            assert shape(successors(state, m, options)) == shape(reference_successors(state, m, options))
+            assert shape(successors(state, m, options), flat) == shape(reference_successors(state, m, options), flat)
 
 
 def test_head_ground_only_under_the_successor_substitution_is_pruned():

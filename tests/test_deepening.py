@@ -1,5 +1,6 @@
 import os
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -266,20 +267,33 @@ def checked_round(run, sizes, searches):
     return checked
 
 
+def replayed_round(run):
+    """`_DepthSearch.run` that drops the point where the last round met its
+    bound, so that the round replays from the root."""
+    def replayed(search, root, bound):
+        search.resume = None
+        return run(search, root, bound)
+    return replayed
+
+
 def assert_kept_lists_change_nothing(matrix, options, label=""):
-    """A run with no list kept across rounds and one with the cap in force
-    report the same outcome, certificate, depth, counts and events, and each
-    runs all its rounds on one search object; returns the number of lists the
-    second run had kept after each round."""
+    """Runs with no list kept across rounds or with the cap in force, each
+    either resuming every round where the round before met its bound or
+    replaying it from the root, report the same outcome, certificate, depth,
+    counts and events, and each runs all its rounds on one search object;
+    returns the number of lists the run with the cap in force that resumes
+    had kept after each round."""
     runs = []
     for cap in (0, deepening._KEPT_EXPANSIONS):
-        sizes, searches = [], []
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(deepening, "_KEPT_EXPANSIONS", cap)
-            patch.setattr(deepening._DepthSearch, "run", checked_round(deepening._DepthSearch.run, sizes, searches))
-            runs.append(run_summary(matrix, options))
-        assert len(set(searches)) <= 1, label
-    assert runs[0] == runs[1], label
+        for resume in (False, True):
+            sizes, searches = [], []
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(deepening, "_KEPT_EXPANSIONS", cap)
+                run = checked_round(deepening._DepthSearch.run, sizes, searches)
+                patch.setattr(deepening._DepthSearch, "run", run if resume else replayed_round(run))
+                runs.append(run_summary(matrix, options))
+            assert len(set(searches)) <= 1, label
+    assert all(run == runs[0] for run in runs[1:]), label
     return sizes
 
 
@@ -294,6 +308,13 @@ def test_kept_lists_change_no_corpus_run(cut):
 def test_kept_lists_change_no_budgeted_corpus_run(budget):
     for info in annotated_corpus():
         options = DeepeningOptions(inference_budget=budget, collect_training=True)
+        assert_kept_lists_change_nothing(load_matrix(info.path), options, info.name)
+
+
+def test_resumed_rounds_change_no_corpus_run_of_a_wider_schedule():
+    """Rounds that deepen by more than one level resume as exactly."""
+    for info in annotated_corpus():
+        options = DeepeningOptions(start_depth=2, increment=3, inference_budget=2000, collect_training=True)
         assert_kept_lists_change_nothing(load_matrix(info.path), options, info.name)
 
 
@@ -314,19 +335,66 @@ def test_kept_lists_change_no_generated_run(cut, problem):
     assert_kept_lists_change_nothing(matrix_of(problem), options)
 
 
-def test_chain_expansions_grow_linearly_with_its_length(monkeypatch):
-    """Each round computes only the states the round before cut at its bound,
-    so a chain of n steps, proved in round n + 1, costs O(n) successor calls
-    instead of the O(n^2) of recomputing every round."""
-    n = 300
+def chain_text(n):
+    """A propositional chain of n steps, proved in round n + 1."""
     text = "cnf(s, axiom, p0).\n" + "".join(f"cnf(c{i}, axiom, ~p{i} | p{i + 1}).\n" for i in range(n))
-    m = matrix_of(text + f"cnf(g, negated_conjecture, ~p{n}).\n")
-    calls = []
+    return text + f"cnf(g, negated_conjecture, ~p{n}).\n"
+
+
+def test_chain_expansions_grow_linearly_with_its_length(monkeypatch):
+    """Each round resumes at the state the round before cut at its bound, and
+    computes only the states past it, so a chain of n steps, proved in round
+    n + 1, costs O(n) expansions and successor calls instead of the O(n^2) of
+    replaying every round from the root."""
+    n = 300
+    calls, expansions = [], []
     compute = deepening.successors
     monkeypatch.setattr(deepening, "successors", lambda *args: calls.append(1) or compute(*args))
-    res = prove_iterative(m)
+    expand = deepening._DepthSearch._expand
+    monkeypatch.setattr(deepening._DepthSearch, "_expand",
+                        lambda search, *args: expansions.append(1) or expand(search, *args))
+    res = prove_iterative(matrix_of(chain_text(n)))
     assert isinstance(res.outcome, Proof) and res.outcome.depth == n + 1
     assert len(calls) <= 2 * (n + 1)  # the state cut at the bound before, and its successor
+    assert len(expansions) <= 2 * (n + 1)
+
+
+def budget_sweep(matrix, options, run):
+    """(outcome, extension inferences, rounds) for every inference budget from
+    0 to what the unbudgeted run spends, with `run` for `_DepthSearch.run`."""
+    total = prove_iterative(matrix, options).stats.extension_inferences
+    sweep = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(deepening._DepthSearch, "run", run)
+        for budget in range(total + 1):
+            res = prove_iterative(matrix, replace(options, inference_budget=budget))
+            outcome = res.outcome
+            if isinstance(outcome, Proof):
+                outcome = format_certificate(outcome.certificate)
+            sweep.append((outcome, res.stats.extension_inferences, res.stats.rounds))
+    return sweep
+
+
+@pytest.mark.parametrize("text, options", [
+    (chain_text(20), DeepeningOptions()),
+    (BRANCHING, DeepeningOptions(max_depth=7)),
+], ids=["prop_chain", "branching"])
+def test_every_budget_stops_a_resumed_run_where_a_replayed_one_stops(text, options):
+    """A budget that the charge of a round's skipped part would pass makes the
+    round replay from the root, which stops where a check in that part fires."""
+    resumed = deepening._DepthSearch.run
+    fallbacks = set()  # budgets under which a round with a point to resume at replays
+
+    def run(search, root, bound):
+        cap = search.options.inference_budget
+        if search.resume is not None and search.stats.extension_inferences + search.resume[1] > cap:
+            fallbacks.add(cap)
+        return resumed(search, root, bound)
+
+    sweep = budget_sweep(matrix_of(text), options, run)
+    assert sweep == budget_sweep(matrix_of(text), options, replayed_round(resumed))
+    assert isinstance(sweep[0][0], Timeout) and not isinstance(sweep[-1][0], Timeout)
+    assert fallbacks
 
 
 def test_kept_lists_stay_within_the_cap():
