@@ -103,7 +103,6 @@ Action = Reduction | Extension | LemmaStep
 class CalculusOptions:
     regularity: bool = True
     lemmas: bool = True
-    depth_bound: int | None = None
 
 
 DEFAULT_OPTIONS = CalculusOptions()
@@ -297,12 +296,13 @@ def _marks(cell: tuple | None) -> dict:
     return marks
 
 
-def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DEFAULT_OPTIONS):
+def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DEFAULT_OPTIONS,
+               depth_bound: int | None = None):
     """All rule applications for the designated (most recent) goal, in the
     deterministic order: lemma step, reductions in path order, extensions in
     matrix order. Returns the list of successor states, each with the action
     that made it at the head of its trail (`trail[0]`); an empty list marks a
-    dead end."""
+    dead end. A goal at depth `depth_bound` or deeper gets no extensions."""
     if not state.goals:
         raise ValueError("closed states have no successors")
     gi = len(state.goals) - 1
@@ -389,7 +389,7 @@ def successors(state: ProverState, matrix: Matrix, options: CalculusOptions = DE
         out.append(ProverState(closed, sigma2, state.fresh_var, state.extensions,
                                state.reductions + 1, (Reduction(gi, cell[2]), state.trail)))
 
-    if options.depth_bound is not None and goal.depth >= options.depth_bound:
+    if depth_bound is not None and goal.depth >= depth_bound:
         return out
 
     index = 0 if goal.path is None else goal.path[2] + 1

@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import gc
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .calculus import (
     Action,
@@ -184,7 +184,7 @@ class _DepthSearch:
 
     def run(self, root: ProverState, bound: int):
         """The first closed state within `bound`, or None once every choice is spent."""
-        self.calc = replace(self.options.calculus, depth_bound=bound)
+        self.bound = bound
         self.spent_before = self.stats.extension_inferences
         stack = self._first_stack(root)
         while stack:
@@ -248,7 +248,7 @@ class _DepthSearch:
         if cap is not None and self.stats.extension_inferences > cap:
             raise _OutOfBudget("inferences")
         goal = state.goals[-1]
-        bound = self.calc.depth_bound
+        bound = self.bound
         if self.resume is None and goal.depth >= bound and has_applicable_extension(state, self.matrix):
             # the next round resumes here (module docstring)
             points = [(p, p.index, p.action, p.closed_any, p.head_emitted) for p in stack]
@@ -259,7 +259,7 @@ class _DepthSearch:
         entry = self.kept.get(state) if parent_kept else None
         kept = entry is not None
         if not kept:
-            succs = successors(state, self.matrix, self.calc)
+            succs = successors(state, self.matrix, self.options.calculus, bound)
             entry = (succs, extension_count(succs))
             if parent_kept and goal.depth < bound and len(self.kept) < _KEPT_EXPANSIONS:
                 self.kept[state] = entry

@@ -1,9 +1,11 @@
 """Immutable substitutions and first-order unification with occurs check.
 
 A Substitution is a flat map from variable ids to terms that is never
-mutated: extending copies the map and adds the new bindings, so sibling
-search branches each hold their own map, a lookup is one dict probe, and
-memory per state stays linear in the number of bindings.
+mutated: the first binding a unification makes copies the map, and that
+unification's bindings go into the copy, so sibling search branches each
+hold their own map, a lookup is one dict probe, and memory per state stays
+linear in the number of bindings. `unify_args` is the only code that makes
+a new map.
 """
 
 from __future__ import annotations
@@ -19,30 +21,22 @@ class Substitution:
         # var id -> bound term, or None when unbound
         self.lookup = self._bindings.get
 
-    def extended(self, bindings: dict) -> "Substitution":
-        merged = self._bindings.copy()
-        merged.update(bindings)
-        return Substitution(merged)
-
 
 EMPTY_SUBSTITUTION = Substitution()
 
 
-def _occurs(var_id: int, t, new: dict, lookup) -> bool:
-    """Whether the variable `var_id` occurs in `t` under the bindings of `new`
-    and then `lookup`. A compound with several arguments is walked once:
-    bindings that share a variable make a DAG whose unfolding can be
-    exponential."""
+def _occurs(var_id: int, t, lookup) -> bool:
+    """Whether the variable `var_id` occurs in `t` under `lookup`. A compound
+    with several arguments is walked once: bindings that share a variable
+    make a DAG whose unfolding can be exponential."""
     stack = [t]
     seen = None
     while stack:
         u = stack.pop()
         while type(u) is Var:
-            bound = new.get(u.id)
+            bound = lookup(u.id)
             if bound is None:
-                bound = lookup(u.id)
-                if bound is None:
-                    break
+                break
             u = bound
         if type(u) is Var:
             if u.id == var_id:
@@ -60,10 +54,11 @@ def _occurs(var_id: int, t, new: dict, lookup) -> bool:
 
 def unify_args(sigma: Substitution, xs: tuple, ys: tuple) -> Substitution | None:
     """Unify the terms of `xs` and `ys` pairwise: an extension of `sigma`, or
-    None on a clash or an occurs-check failure."""
+    None on a clash or an occurs-check failure. `sigma` itself is returned
+    when nothing is bound; the first binding copies its map."""
     if len(xs) != len(ys):
         return None
-    new: dict = {}
+    merged = None
     lookup = sigma.lookup
     stack = list(zip(xs, ys))
     # (id, id) of the pairs of compounds with several arguments whose
@@ -72,47 +67,42 @@ def unify_args(sigma: Substitution, xs: tuple, ys: tuple) -> Substitution | None
     while stack:
         a, b = stack.pop()
         while type(a) is Var:
-            bound = new.get(a.id)
+            bound = lookup(a.id)
             if bound is None:
-                bound = lookup(a.id)
-                if bound is None:
-                    break
+                break
             a = bound
         while type(b) is Var:
-            bound = new.get(b.id)
+            bound = lookup(b.id)
             if bound is None:
-                bound = lookup(b.id)
-                if bound is None:
-                    break
+                break
             b = bound
         if a is b:
             continue
-        if type(a) is Var:
-            if type(b) is Var:  # two unbound variables: no occurs check can fail
-                if a.id != b.id:
-                    new[a.id] = b
+        if type(a) is not Var:
+            if type(b) is not Var:
+                if a.functor != b.functor or len(a.args) != len(b.args):
+                    return None
+                if len(a.args) > 1:
+                    pair = (id(a), id(b))
+                    if pushed is None:
+                        pushed = set()
+                    elif pair in pushed:
+                        continue
+                    pushed.add(pair)
+                stack.extend(zip(a.args, b.args))
                 continue
-            if _occurs(a.id, b, new, lookup):
-                return None
-            new[a.id] = b
-        elif type(b) is Var:
-            if _occurs(b.id, a, new, lookup):
-                return None
-            new[b.id] = a
-        else:
-            if a.functor != b.functor or len(a.args) != len(b.args):
-                return None
-            if len(a.args) > 1:
-                pair = (id(a), id(b))
-                if pushed is None:
-                    pushed = set()
-                elif pair in pushed:
-                    continue
-                pushed.add(pair)
-            stack.extend(zip(a.args, b.args))
-    if not new:
-        return sigma
-    return sigma.extended(new)
+            a, b = b, a
+        # `a` is an unbound variable; two unbound variables need no occurs check
+        if type(b) is Var:
+            if a.id == b.id:
+                continue
+        elif _occurs(a.id, b, lookup):
+            return None
+        if merged is None:
+            merged = sigma._bindings.copy()
+            lookup = merged.get
+        merged[a.id] = b
+    return sigma if merged is None else Substitution(merged)
 
 
 def pairs_equal_under(sigma: Substitution, stack: list) -> bool:

@@ -2,10 +2,10 @@
 
 The prover itself needs `unify_args`, `pairs_equal_under` and
 `literals_equal_under`; the tests also resolve terms fully, unify single
-terms or literals, and compare substitutions, which the helpers below do on
-top of `mcprover.unification`. The rest are the references the tests compare
-the prover's own code with, and the writers and readers of the formats the
-tests feed it:
+terms or literals, and build and compare substitutions, which the helpers
+below do on top of `mcprover.unification`. The rest are the references the
+tests compare the prover's own code with, and the writers and readers of the
+formats the tests feed it:
 - `print_problem` and `formula_to_str`, the canonical TPTP printer that the
   reader's round-trip tests read back;
 - `key_of`, the per-literal training key that `trainstore.KeyTable` tabulates;
@@ -40,6 +40,14 @@ from mcprover.unification import Substitution, pairs_equal_under, unify_args
 def bindings(sigma: Substitution) -> dict:
     """The bindings of `sigma`, var id -> term, as a fresh dict."""
     return dict(sigma._bindings)
+
+
+def extended(sigma: Substitution, bindings: dict) -> Substitution:
+    """`sigma` with `bindings` added, built directly rather than by
+    unification; `sigma` is left as it is."""
+    merged = dict(sigma._bindings)
+    merged.update(bindings)
+    return Substitution(merged)
 
 
 def factors_through(sigma: Substitution, other: Substitution) -> bool:

@@ -1,11 +1,12 @@
-"""Every public top-level function and class of `mcprover` has a caller in
-the package or the benchmark. Code that only the tests need lives in
-`tests/oracles.py`.
+"""Every public top-level function and class of `mcprover`, and every public
+method and property of such a class, has a caller in the package or the
+benchmark. Code that only the tests need lives in `tests/oracles.py`.
 
 A name counts as used where an AST `Name` or `Attribute` node outside its own
-definition refers to it; mentions in docstrings, comments and import lists do
-not count. No module of the package or the tests imports a name it never
-reads.
+definition refers to it, a method or property name only where an `Attribute`
+node does (a local variable may share its name); mentions in docstrings,
+comments and import lists do not count. No module of the package or the
+tests imports a name it never reads.
 
 Terms, literals and calculus actions are slotted value classes whose fields
 are set only by their constructors; no module of the package assigns to an
@@ -39,30 +40,42 @@ def _parse(path):
         return ast.parse(handle.read(), filename=path)
 
 
-def _references(paths):
-    """name -> [(path, line), ...] of every Name and Attribute node in `paths`."""
+def _references(paths, kinds=(ast.Name, ast.Attribute)):
+    """name -> [(path, line), ...] of every node of `kinds` in `paths`."""
     out = {}
     for path in paths:
         for node in ast.walk(_parse(path)):
-            if isinstance(node, ast.Name):
-                out.setdefault(node.id, []).append((path, node.lineno))
-            elif isinstance(node, ast.Attribute):
-                out.setdefault(node.attr, []).append((path, node.lineno))
+            if isinstance(node, kinds):
+                name = node.attr if isinstance(node, ast.Attribute) else node.id
+                out.setdefault(name, []).append((path, node.lineno))
     return out
 
 
+def _read_elsewhere(references, name, path, node):
+    """Whether one of `references` to `name` lies outside `node` in `path`."""
+    own_lines = range(node.lineno, node.end_lineno + 1)
+    return any(where != path or line not in own_lines for where, line in references.get(name, ()))
+
+
 def test_every_public_name_in_the_package_has_a_caller():
-    references = _references(_python_files(PACKAGE) + _python_files(BENCHMARK))
+    paths = _python_files(PACKAGE) + _python_files(BENCHMARK)
+    references = _references(paths)
+    attributes = _references(paths, (ast.Attribute,))
     public, unused = set(), []
     for path in _python_files(PACKAGE):
         for node in _parse(path).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
             public.add(node.name)
-            own_lines = range(node.lineno, node.end_lineno + 1)
-            called = any(where != path or line not in own_lines for where, line in references.get(node.name, ()))
-            if not called and node.name not in ALLOWED:
+            if not _read_elsewhere(references, node.name, path, node) and node.name not in ALLOWED:
                 unused.append(f"{os.path.basename(path)}:{node.name}")
+            if isinstance(node, ast.ClassDef):
+                unused += [
+                    f"{os.path.basename(path)}:{node.name}.{method.name}"
+                    for method in node.body
+                    if isinstance(method, ast.FunctionDef) and not method.name.startswith("_")
+                    and not _read_elsewhere(attributes, method.name, path, method)
+                ]
     assert unused == []
     assert ALLOWED <= public
 

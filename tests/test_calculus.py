@@ -241,19 +241,19 @@ cnf(c5, axiom, ~q).
 def test_depth_bound_blocks_extensions():
     m = matrix_of("cnf(c1, axiom, p).\ncnf(c2, axiom, ~p | q).\ncnf(c3, axiom, ~q).\n")
     s = initial_state(m)
-    s = successors(s, m, CalculusOptions(depth_bound=1))[0]      # start, depth 0
-    succ1 = successors(s, m, CalculusOptions(depth_bound=1))     # p at depth 0 -> allowed
+    s = successors(s, m, depth_bound=1)[0]      # start, depth 0
+    succ1 = successors(s, m, depth_bound=1)     # p at depth 0 -> allowed
     assert succ1
     s = succ1[0]
     # q sits at depth 1 now; bound 1 forbids extending it
-    assert successors(s, m, CalculusOptions(depth_bound=1)) == []
-    assert successors(s, m, CalculusOptions(depth_bound=2)) != []
+    assert successors(s, m, depth_bound=1) == []
+    assert successors(s, m, depth_bound=2) != []
 
 
 # --- regularity against the full-path scan ---------------------------------
 
 
-def reference_successors(state, matrix, options):
+def reference_successors(state, matrix, options, depth_bound=None):
     """`successors` built from the definitions: the first lemma equal to the
     head, the reductions found by unifying the head with each complementary
     literal of a full path scan, in path order, and an extension per
@@ -286,7 +286,7 @@ def reference_successors(state, matrix, options):
             if sigma is not None:
                 out.append(ProverState(closed, sigma, state.fresh_var, state.extensions,
                                        state.reductions + 1, (Reduction(gi, index), state.trail)))
-    if options.depth_bound is None or goal.depth < options.depth_bound:
+    if depth_bound is None or goal.depth < depth_bound:
         # a path cell as `path_cells` and `Goal.depth` read it
         path = (head, None, 0 if goal.path is None else goal.path[2] + 1, goal.path)
         for ci, clause in enumerate(matrix.clauses):

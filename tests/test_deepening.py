@@ -411,10 +411,10 @@ def test_each_kept_list_is_computed_once_per_search(monkeypatch):
     counted_lists = []  # every list whose extensions were counted
     compute = deepening.successors
 
-    def counted(state, matrix, calc):
-        if state.goals[-1].depth < calc.depth_bound:
+    def counted(state, matrix, calc, bound):
+        if state.goals[-1].depth < bound:
             below.append(state)
-        computed.append(compute(state, matrix, calc))
+        computed.append(compute(state, matrix, calc, bound))
         return computed[-1]
 
     monkeypatch.setattr(deepening, "successors", counted)

@@ -4,7 +4,7 @@ import pytest
 
 from mcprover.terms import App, Literal, Var
 from mcprover.unification import EMPTY_SUBSTITUTION, literals_equal_under
-from oracles import bindings, factors_through, resolve_literal, resolve_term, terms_equal_under, unify
+from oracles import bindings, extended, factors_through, resolve_literal, resolve_term, terms_equal_under, unify
 
 
 # --- independent reference unifier (naive, eager substitution) --------------
@@ -74,13 +74,29 @@ def test_occurs_check():
 
 
 def test_unify_extends_without_mutating_parent():
-    base = EMPTY_SUBSTITUTION.extended({0: App("a")})
-    before = bindings(base)
-    sigma = unify(base, App("q", (Var(0), Var(1))), App("q", (App("a"), App("b"))))
+    a, b, c = App("a"), App("b"), App("c")
+    base = extended(EMPTY_SUBSTITUTION, {0: a})
+    before = list(bindings(base).items())
+    sigma = unify(base, App("q", (Var(0), Var(1))), App("q", (a, b)))
     assert sigma is not None
-    assert bindings(base) == before
-    assert resolve_term(sigma, Var(1)) == App("b")
+    assert list(bindings(base).items()) == before
+    assert resolve_term(sigma, Var(1)) == b
     assert factors_through(sigma, base)
+    # σ's items come first, then the new ones in binding order: the argument
+    # pairs are unified last first
+    sigma = unify(base, App("q", (Var(0), Var(1), Var(2))), App("q", (a, b, c)))
+    assert list(bindings(sigma).items()) == before + [(2, c), (1, b)]
+    # a clash or an occurs failure after a first binding leaves σ as it was,
+    # in either argument order
+    X, Y = Var(1), Var(2)
+    for s, t in [
+        (App("q", (X, a)), App("q", (b, b))),
+        (App("q", (a, X)), App("q", (b, b))),
+        (App("q", (X, Y)), App("q", (App("f", (Y,)), X))),
+        (App("q", (Y, X)), App("q", (X, App("f", (Y,))))),
+    ]:
+        assert unify(base, s, t) is None
+        assert list(bindings(base).items()) == before
 
 
 def test_literal_unification_requires_complement():
@@ -99,8 +115,8 @@ def test_clash_fails():
 
 def test_factors_through_chain():
     s0 = EMPTY_SUBSTITUTION
-    s1 = s0.extended({0: App("a")})
-    s2 = s1.extended({1: App("b")})
+    s1 = extended(s0, {0: App("a")})
+    s2 = extended(s1, {1: App("b")})
     assert factors_through(s2, s1)
     assert factors_through(s2, s0)
     assert not factors_through(s1, s2)
@@ -109,14 +125,14 @@ def test_factors_through_chain():
 def test_long_extension_chain_preserves_lookups():
     sigma = EMPTY_SUBSTITUTION
     for i in range(100):
-        sigma = sigma.extended({i: App(f"k{i}")})
+        sigma = extended(sigma, {i: App(f"k{i}")})
     for i in range(100):
         assert sigma.lookup(i) == App(f"k{i}")
     assert len(bindings(sigma)) == 100
 
 
 def test_equal_under_handles_var_chains():
-    sigma = EMPTY_SUBSTITUTION.extended({0: Var(1)}).extended({1: App("a")})
+    sigma = extended(extended(EMPTY_SUBSTITUTION, {0: Var(1)}), {1: App("a")})
     assert terms_equal_under(sigma, Var(0), App("a"))
     assert literals_equal_under(sigma, Literal(True, "p", (Var(0),)), Literal(True, "p", (Var(1),)))
     assert not literals_equal_under(sigma, Literal(True, "p", (Var(0),)), Literal(False, "p", (Var(0),)))
@@ -135,9 +151,9 @@ def random_substitution(rng, n_vars=6):
             term = random_term(rng, depth=2, n_vars=n_vars)
             batch[var_id] = rename_free(term, later, rng)
         if batch and rng.random() < 0.5:
-            sigma = sigma.extended(batch)
+            sigma = extended(sigma, batch)
             batch = {}
-    return sigma.extended(batch) if batch else sigma
+    return extended(sigma, batch) if batch else sigma
 
 
 def rename_free(t, allowed, rng):
@@ -168,6 +184,8 @@ def agreement_case(rng):
     s = random_term(rng, depth=rng.randint(1, 4))
     t = random_term(rng, depth=rng.randint(1, 4))
     ours = unify(EMPTY_SUBSTITUTION, s, t)
+    if bindings(EMPTY_SUBSTITUTION):
+        return False, (s, t, "the empty substitution was written in place")
     reference = ref_unify(s, t)
     if (ours is None) != (reference is None):
         return False, (s, t, "outcome mismatch")
@@ -210,14 +228,14 @@ def doubling_bindings(first, n, leaf):
 
 
 def test_occurs_check_walks_a_shared_binding_once():
-    sigma = EMPTY_SUBSTITUTION.extended(doubling_bindings(0, 60, None))
+    sigma = extended(EMPTY_SUBSTITUTION, doubling_bindings(0, 60, None))
     assert unify(sigma, Var(0), App("f", (Var(60),))) is None
     bound = unify(sigma, Var(100), App("f", (Var(60),)))
     assert bound is not None and bound.lookup(100) == App("f", (Var(60),))
 
 
 def test_equal_shared_terms_unify_and_compare_in_dag_time():
-    sigma = EMPTY_SUBSTITUTION.extended({
+    sigma = extended(EMPTY_SUBSTITUTION, {
         **doubling_bindings(0, 60, App("a")),
         **doubling_bindings(100, 60, App("a")),
         **doubling_bindings(200, 60, App("b")),
